@@ -5,9 +5,10 @@ The fault subsystem's two claims, pinned:
 * **graceful degradation**: the block DDL keeps a column-phase bandwidth
   advantage over row-major under *every* shipped fault class -- faults
   shrink the margin, they never invert it;
-* **bounded cost**: the faulted timing loop is a constant factor of the
-  healthy one (it runs the same array-state walk plus per-request fault
-  arithmetic), and the full degradation report finishes in seconds.
+* **bounded cost**: a faulted run of the exact loop is a constant
+  factor of a healthy run of the same loop (the plan adds its
+  precomputed service tail and its window checks), and the full
+  degradation report finishes in seconds.
 
 Determinism is asserted outright: the same seed must reproduce the
 byte-identical report.  The run writes ``BENCH_faults.json`` for
@@ -51,8 +52,8 @@ def test_degradation_and_fault_loop_cost(quick):
         cell["retained"] for cell in ddl["plans"].values()
     )
 
-    # Faulted-loop overhead: the same DDL trace priced healthy and under
-    # the jitter plan (every request pays the fault arithmetic).
+    # Fault overhead on the exact loop: the same DDL trace priced healthy
+    # and under the jitter plan (every request pays its service tail).
     config = pact15_hmc_config()
     geometry = optimal_block_geometry(config, n)
     layout = BlockDDLLayout(n, n, geometry.width, geometry.height)
@@ -75,7 +76,7 @@ def test_degradation_and_fault_loop_cost(quick):
     for name in sorted(faulted_advantages):
         print(f"  {name:<20}: {faulted_advantages[name]:.1f}x "
               f"(DDL retains {100 * ddl['plans'][name]['retained']:.0f}%)")
-    print(f"  faulted-loop cost   : {overhead_x:.2f}x the healthy loop")
+    print(f"  fault-plan cost     : {overhead_x:.2f}x a healthy run")
 
     write_bench_json(
         "faults",

@@ -27,9 +27,6 @@ from repro.faults.injectors import (
     injector_from_dict,
 )
 from repro.faults.plan import (
-    ERR_CORRECTED,
-    ERR_NONE,
-    ERR_UNCORRECTABLE,
     FaultPlan,
     FaultState,
     builtin_fault_plans,
@@ -44,6 +41,7 @@ from repro.faults.report import (
     degradation_report,
     render_degradation,
 )
+from repro.memory3d.prepare import ERR_CORRECTED, ERR_NONE, ERR_UNCORRECTABLE
 
 __all__ = [
     "ERR_CORRECTED",

@@ -34,12 +34,8 @@ from repro.faults.injectors import (
     injector_from_dict,
 )
 from repro.memory3d.config import Memory3DConfig
+from repro.memory3d.prepare import ERR_CORRECTED, ERR_UNCORRECTABLE
 from repro.obs.logging import get_logger
-
-#: Error-class codes in :attr:`FaultState.error_class`.
-ERR_NONE = 0
-ERR_CORRECTED = 1
-ERR_UNCORRECTABLE = 2
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ disciplines are supported:
 Two engines price a trace:
 
 ``exact``
-    The per-request array-state loop below -- the reference semantics.
-    Its rules are exactly those of
+    The one per-request array-state loop below -- the reference
+    semantics, healthy or faulted.  Its rules are exactly those of
     :class:`~repro.memory3d.vault.VaultTimingModel` (cross-checked in the
     tests); faults, refresh, recorders and every other feature run here.
 
@@ -52,6 +52,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.memory3d.address import AddressMapping
 from repro.memory3d.config import Memory3DConfig
+from repro.memory3d.prepare import ERR_CORRECTED, NO_ACT, decode, service_tail
 from repro.memory3d.stats import AccessStats
 from repro.memory3d.timebase import (
     mean_latency_ns,
@@ -76,16 +77,18 @@ from repro.units import ELEMENT_BYTES
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> memory3d)
     from repro.faults.plan import FaultPlan, FaultState
 
-_NEG_INF = float("-inf")
-
-#: Integer stand-in for "no activation yet" in the picosecond engines.
-_NO_ACT = -(1 << 62)
-
 #: Disciplines accepted by :meth:`Memory3D.simulate`.
 DISCIPLINES = ("in_order", "per_vault")
 
 #: Engines accepted by :meth:`Memory3D.simulate` (see module docs).
 ENGINES = ("exact", "vector")
+
+
+def _check_discipline(discipline: str) -> None:
+    if discipline not in DISCIPLINES:
+        raise SimulationError(
+            f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}"
+        )
 
 
 def _check_trace(trace: Any) -> Any:
@@ -119,12 +122,16 @@ class Memory3D:
 
     An optional :class:`~repro.obs.events.Recorder` (e.g. an
     :class:`~repro.obs.events.EventTrace`) receives typed per-request
-    events -- ACTIVATE, ROW_HIT, REFRESH_STALL, TSV_CONTENTION -- from
-    both serial engines.  The default :data:`~repro.obs.events.NULL_RECORDER`
-    disables recording; the hot loop then pays a single pointer test per
-    request (benchmarked in ``benchmarks/bench_observability.py``).
-    An enabled recorder forces the exact engine (the vector engine
-    aggregates counts instead of emitting per-request events).
+    events -- ACTIVATE, ROW_HIT, REFRESH_STALL, TSV_CONTENTION, BIT_ERROR
+    -- from the exact loop and from :meth:`simulate_reference`.  The
+    default :data:`~repro.obs.events.NULL_RECORDER` disables recording;
+    the loop then pays a single pointer test per request (benchmarked in
+    ``benchmarks/bench_observability.py``).  An enabled recorder forces
+    the exact engine (the vector engine aggregates counts instead of
+    emitting per-request events).
+
+    Healthy and faulted runs go through the same exact loop; a fault
+    plan only adds the per-request work its injectors need.
     """
 
     def __init__(
@@ -182,10 +189,7 @@ class Memory3D:
                 otherwise -- see :attr:`last_fallback_reason`).
         """
         trace = _check_trace(trace)
-        if discipline not in DISCIPLINES:
-            raise SimulationError(
-                f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}"
-            )
+        _check_discipline(discipline)
         total = len(trace)
         if total == 0:
             return AccessStats()
@@ -250,25 +254,19 @@ class Memory3D:
                     return out
             self.last_fallback_reason = reason
         self.last_engine = "exact"
-        run = _as_trace(run)
-        if faults is not None:
-            return self._simulate_faulted(run, discipline, faults, record)
-        return self._simulate_fast(run, discipline, record)
+        return self._simulate_exact(_as_trace(run), discipline, faults, record)
 
     def simulate_reference(
         self, trace: TraceArray, discipline: str = "in_order"
     ) -> AccessStats:
         """Reference engine built on :class:`VaultTimingModel` (slow, exact).
 
-        Used by the tests to validate the array-state hot loop; behaviour is
-        identical by construction of the shared rules.  Feeds the same
-        event stream to an attached recorder as the fast engine does, so
+        Used by the tests to validate the exact loop on healthy runs;
+        behaviour is identical by construction of the shared rules.  Feeds
+        the same event stream to an attached recorder as the exact loop, so
         the instrumentation is cross-checked the same way the timing is.
         """
-        if discipline not in DISCIPLINES:
-            raise SimulationError(
-                f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}"
-            )
+        _check_discipline(discipline)
         recorder = self.recorder
         record_event = recorder.record if recorder.enabled else None
         timing = self.config.timing
@@ -386,10 +384,7 @@ class Memory3D:
         tags = np.asarray(tags, dtype=np.int64)
         if tags.shape != trace.addresses.shape:
             raise SimulationError("tags shape must match the trace")
-        if discipline not in DISCIPLINES:
-            raise SimulationError(
-                f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}"
-            )
+        _check_discipline(discipline)
         if len(trace) == 0:
             return {-1: AccessStats()}
         faults = self._compile_faults(fault_plan, len(trace))
@@ -428,10 +423,7 @@ class Memory3D:
         whose entry *i* is the average bandwidth over
         ``[i * bucket_ns, (i+1) * bucket_ns)``.
         """
-        if discipline not in DISCIPLINES:
-            raise SimulationError(
-                f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}"
-            )
+        _check_discipline(discipline)
         if bucket_ns <= 0:
             raise SimulationError(f"bucket_ns must be positive, got {bucket_ns}")
         run = _check_trace(trace)
@@ -471,25 +463,31 @@ class Memory3D:
             "diff_vault": int((~same_vault).sum()),
         }
 
-    # -------------------------------------------------------------- hot loop
-    def _simulate_fast(
-        self, trace: TraceArray, discipline: str, record: bool = False
+    # ------------------------------------------------------------ exact loop
+    def _simulate_exact(
+        self,
+        trace: TraceArray,
+        discipline: str,
+        faults: FaultState | None,
+        record: bool = False,
     ) -> tuple[AccessStats, np.ndarray | None]:
-        """Array-state per-request engine (same rules as VaultTimingModel).
+        """The per-request exact engine (same rules as VaultTimingModel).
+
+        ``faults is None`` is the healthy device.  Fault work that needs
+        no serial state -- the vault remap and the per-request service
+        tail (``t_in_row`` plus jitter plus ECC correction) -- comes from
+        :mod:`repro.memory3d.prepare`, shared with the vector engine.
+        The loop keeps only what is serial: refresh and storm windows,
+        thermal-throttle windows and event emission, each behind one
+        local test, so a healthy run pays a few pointer tests per request.
 
         All internal arithmetic is integer picoseconds (see
         :mod:`repro.memory3d.timebase`): associativity of integer
         ``max``/``add`` is what makes the vectorized engine's scans
         bit-identical to this loop.  Nanoseconds are converted at entry
-        (timing parameters, arrivals) and exit (stats, completions).
-
-        With ``record=True`` the per-request completion times are returned
-        alongside the stats (for :meth:`bandwidth_timeline`).
-
-        Event recording is gated on a single local (``record_event``):
-        with the default :class:`~repro.obs.events.NullRecorder` the loop
-        body performs exactly one extra pointer comparison per request,
-        keeping the uninstrumented path at seed throughput.
+        (timing parameters, arrivals, fault magnitudes) and exit (stats,
+        completions).  With ``record=True`` the per-request completion
+        times are returned alongside the stats.
         """
         cfg = self.config
         timing = cfg.timing
@@ -497,53 +495,83 @@ class Memory3D:
         t_in_vault = ns_to_ps(timing.t_in_vault)
         t_diff_bank = ns_to_ps(timing.t_diff_bank)
         t_diff_row = ns_to_ps(timing.t_diff_row)
-        n_layers = cfg.layers
-        banks_per_vault = cfg.banks_per_vault
+        n_vaults = cfg.vaults
         in_order = discipline == "in_order"
         recorder = self.recorder
         record_event = recorder.record if recorder.enabled else None
-        stall = 0
-        stall_ts = 0
         refresh = cfg.refresh
         if refresh is not None:
             refi = ns_to_ps(refresh.t_refi_ns)
             rfc = ns_to_ps(refresh.t_rfc_ns)
             refresh_offset = [
-                ns_to_ps(v * refresh.t_refi_ns / cfg.vaults)
-                for v in range(cfg.vaults)
+                ns_to_ps(v * refresh.t_refi_ns / n_vaults) for v in range(n_vaults)
             ]
 
-        vaults_arr, banks_arr, rows_arr, _ = self.mapping.decode_array(trace.addresses)
-        # Global bank ids flatten (vault, bank) so state lives in flat lists.
-        gbank_list = (vaults_arr * banks_per_vault + banks_arr).tolist()
+        n_requests = len(trace)
+        vaults_arr, banks_arr, rows_arr, gbank_arr = decode(
+            self, trace.addresses, faults
+        )
+        gbank_list = gbank_arr.tolist()
         vault_list = vaults_arr.tolist()
         bank_list = banks_arr.tolist()
+        layer_list = (banks_arr % cfg.layers).tolist()
         row_list = rows_arr.tolist()
         arrival_list = (
             ns_array_to_ps(trace.arrival_ns).tolist()
             if trace.arrival_ns is not None
             else None
         )
+        tail, _ = service_tail(n_requests, t_in_row, faults)
+        tail_list = tail.tolist() if tail is not None else None
 
-        n_banks = cfg.total_banks
-        n_vaults = cfg.vaults
-        open_row = [-1] * n_banks
-        bank_next_act = [0] * n_banks
+        storms: list[tuple[int, int, list[int], frozenset[int] | None]] | None = None
+        throttle: tuple[float, float, float] | None = None
+        errors: list[int] | None = None
+        correction_ns = 0.0
+        if faults is not None:
+            storms = [
+                (
+                    ns_to_ps(period),
+                    ns_to_ps(duration),
+                    [ns_to_ps(off) for off in offsets],
+                    vault_set,
+                )
+                for period, duration, offsets, vault_set in faults.storms
+            ] or None
+            throttle = faults.throttle
+            errors = faults.error_class
+            correction_ns = faults.correction_ns
+        if throttle is not None:
+            window_ps = ns_to_ps(throttle[0])
+            busy_limit_ps = ns_to_ps(throttle[1])
+            extra_per_beat = ns_to_ps(timing.t_in_row * throttle[2])
+            derated_beat = t_in_row + extra_per_beat
+            win_start = [0] * n_vaults
+            win_busy = [0] * n_vaults
+            throttled = [False] * n_vaults
+        # One test per request guards the fault work after the beat.
+        faulty = storms is not None or tail_list is not None or throttle is not None
+
+        open_row = [-1] * cfg.total_banks
+        bank_next_act = [0] * cfg.total_banks
         tsv_next = [0] * n_vaults
-        last_act_time = [_NO_ACT] * n_vaults
+        last_act_time = [NO_ACT] * n_vaults
         last_act_layer = [-1] * n_vaults
         last_act_bank = [-1] * n_vaults
         vault_ready = [0] * n_vaults
         stream_ready = 0
 
         activations = 0
-        hits = 0
         first_completion = 0
         last_completion = 0
         completions: list[int] | None = [] if record else None
-
         latency_sum = 0
         latency_max = 0
+        storm_total = 0
+        throttle_total = 0
+        throttled_windows = 0
+        stall_ts = 0
+        no_act = NO_ACT
 
         for i, gbank in enumerate(gbank_list):
             vid = vault_list[i]
@@ -551,355 +579,95 @@ class Memory3D:
             ready = stream_ready if in_order else vault_ready[vid]
             if arrival_list is not None and arrival_list[i] > ready:
                 ready = arrival_list[i]
+            tsv_prev = tsv_next[vid]
+            stall = 0
             if open_row[gbank] == row:
-                hits += 1
-                tsv_prev = tsv_next[vid]
+                hit = True
                 beat = tsv_prev if tsv_prev > ready else ready
-                if refresh is not None:
-                    stall = 0
-                    phase = (beat - refresh_offset[vid]) % refi
-                    if phase < rfc:
-                        stall = rfc - phase
-                        stall_ts = beat
-                        beat += stall
-                completion = beat + t_in_row
-                if record_event is not None:
-                    bank = bank_list[i]
-                    if tsv_prev > ready:
-                        record_event(
-                            EV_TSV_CONTENTION, vid, bank, row, ps_to_ns(ready),
-                            ps_to_ns(tsv_prev - ready),
-                        )
-                    if stall > 0:
-                        record_event(
-                            EV_REFRESH_STALL, vid, bank, row,
-                            ps_to_ns(stall_ts), ps_to_ns(stall),
-                        )
-                    record_event(
-                        EV_ROW_HIT, vid, bank, row, ps_to_ns(beat),
-                        timing.t_in_row,
-                    )
             else:
+                hit = False
                 act = bank_next_act[gbank]
                 if ready > act:
                     act = ready
                 prev_act = last_act_time[vid]
                 bank = bank_list[i]
-                if prev_act != _NO_ACT and last_act_bank[vid] != bank:
-                    layer = bank % n_layers
+                layer = layer_list[i]
+                if prev_act != no_act and last_act_bank[vid] != bank:
                     gap = t_diff_bank if layer == last_act_layer[vid] else t_in_vault
                     gated = prev_act + gap
                     if gated > act:
                         act = gated
                 if refresh is not None:
-                    stall = 0
                     stall_ts = act
                     phase = (act - refresh_offset[vid]) % refi
                     if phase < rfc:
                         stall = rfc - phase
                         act += stall
+                if storms is not None:
+                    for period, duration, offsets, vault_set in storms:
+                        if vault_set is not None and vid not in vault_set:
+                            continue
+                        phase = (act - offsets[vid]) % period
+                        if phase < duration:
+                            extra = duration - phase
+                            if stall == 0:
+                                stall_ts = act
+                            stall += extra
+                            act += extra
+                            storm_total += extra
                 open_row[gbank] = row
                 bank_next_act[gbank] = act + t_diff_row
                 last_act_time[vid] = act
-                last_act_layer[vid] = bank % n_layers
+                last_act_layer[vid] = layer
                 last_act_bank[vid] = bank
                 activations += 1
-                tsv_prev = tsv_next[vid]
                 beat = tsv_prev if tsv_prev > act else act
-                if refresh is not None:
-                    phase = (beat - refresh_offset[vid]) % refi
-                    if phase < rfc:
-                        extra = rfc - phase
-                        if stall == 0:
-                            stall_ts = beat
-                        stall += extra
-                        beat += extra
-                completion = beat + t_in_row
-                if record_event is not None:
-                    record_event(
-                        EV_ACTIVATE, vid, bank, row, ps_to_ns(act),
-                        timing.t_diff_row,
-                    )
-                    if tsv_prev > act:
-                        record_event(
-                            EV_TSV_CONTENTION, vid, bank, row, ps_to_ns(act),
-                            ps_to_ns(tsv_prev - act),
-                        )
-                    if stall > 0:
-                        record_event(
-                            EV_REFRESH_STALL, vid, bank, row,
-                            ps_to_ns(stall_ts), ps_to_ns(stall),
-                        )
-            tsv_next[vid] = completion
-            if in_order:
-                stream_ready = completion
-            else:
-                vault_ready[vid] = completion
-            if i == 0:
-                first_completion = completion
-            if completion > last_completion:
-                last_completion = completion
-            if completions is not None:
-                completions.append(completion)
-            if arrival_list is not None:
-                latency = completion - arrival_list[i]
-                latency_sum += latency
-                if latency > latency_max:
-                    latency_max = latency
-
-        busy = {
-            vid: ps_to_ns(tsv_next[vid])
-            for vid in range(n_vaults)
-            if tsv_next[vid] > 0
-        }
-        n_requests = len(trace)
-        stats = AccessStats(
-            requests=n_requests,
-            bytes_transferred=n_requests * ELEMENT_BYTES,
-            elapsed_ns=ps_to_ns(last_completion),
-            row_activations=activations,
-            row_hits=hits,
-            per_vault_busy_ns=busy,
-            first_response_ns=ps_to_ns(first_completion),
-            mean_request_latency_ns=(
-                mean_latency_ns(latency_sum, n_requests)
-                if arrival_list is not None
-                else 0.0
-            ),
-            max_request_latency_ns=ps_to_ns(latency_max),
-        )
-        recorded = (
-            ps_array_to_ns(np.asarray(completions, dtype=np.int64))
-            if record
-            else None
-        )
-        return stats, recorded
-
-    # ----------------------------------------------------------- faulted loop
-    def _simulate_faulted(
-        self,
-        trace: TraceArray,
-        discipline: str,
-        faults: FaultState,
-        record: bool = False,
-    ) -> tuple[AccessStats, np.ndarray | None]:
-        """The fault-injected twin of :meth:`_simulate_fast`.
-
-        Kept as a separate loop so the healthy hot path pays nothing for
-        the fault machinery; the rules are identical plus, per request:
-        vault remapping, storm lockouts, thermal beat stretching, seeded
-        jitter and ECC correction penalties.  With an all-identity
-        :class:`~repro.faults.plan.FaultState` the produced stats equal
-        the fast engine's exactly (cross-checked in the tests).  Like the
-        healthy loop, the arithmetic is integer picoseconds; the fault
-        plan's ns magnitudes are converted once on entry.
-        """
-        cfg = self.config
-        timing = cfg.timing
-        t_in_row = ns_to_ps(timing.t_in_row)
-        t_in_vault = ns_to_ps(timing.t_in_vault)
-        t_diff_bank = ns_to_ps(timing.t_diff_bank)
-        t_diff_row = ns_to_ps(timing.t_diff_row)
-        n_layers = cfg.layers
-        banks_per_vault = cfg.banks_per_vault
-        in_order = discipline == "in_order"
-        recorder = self.recorder
-        record_event = recorder.record if recorder.enabled else None
-        stall = 0
-        stall_ts = 0
-        refresh = cfg.refresh
-        if refresh is not None:
-            refi = ns_to_ps(refresh.t_refi_ns)
-            rfc = ns_to_ps(refresh.t_rfc_ns)
-            refresh_offset = [
-                ns_to_ps(v * refresh.t_refi_ns / cfg.vaults)
-                for v in range(cfg.vaults)
-            ]
-
-        vaults_arr, banks_arr, rows_arr, _ = self.mapping.decode_array(trace.addresses)
-        f_remap = faults.remap
-        if f_remap is not None:
-            remap_arr = np.asarray(f_remap, dtype=vaults_arr.dtype)
-            remapped = remap_arr[vaults_arr]
-            faults.remapped_requests = int((remapped != vaults_arr).sum())
-            vaults_arr = remapped
-        f_jitter = (
-            ns_array_to_ps(np.asarray(faults.jitter)).tolist()
-            if faults.jitter is not None
-            else None
-        )
-        f_storms = tuple(
-            (
-                ns_to_ps(period),
-                ns_to_ps(duration),
-                [ns_to_ps(off) for off in offsets],
-                vault_set,
-            )
-            for period, duration, offsets, vault_set in faults.storms
-        )
-        f_throttle = faults.throttle
-        f_errors = faults.error_class
-        f_correction = ns_to_ps(faults.correction_ns)
-
-        gbank_list = (vaults_arr * banks_per_vault + banks_arr).tolist()
-        vault_list = vaults_arr.tolist()
-        bank_list = banks_arr.tolist()
-        row_list = rows_arr.tolist()
-        arrival_list = (
-            ns_array_to_ps(trace.arrival_ns).tolist()
-            if trace.arrival_ns is not None
-            else None
-        )
-
-        n_banks = cfg.total_banks
-        n_vaults = cfg.vaults
-        open_row = [-1] * n_banks
-        bank_next_act = [0] * n_banks
-        tsv_next = [0] * n_vaults
-        last_act_time = [_NO_ACT] * n_vaults
-        last_act_layer = [-1] * n_vaults
-        last_act_bank = [-1] * n_vaults
-        vault_ready = [0] * n_vaults
-        stream_ready = 0
-        if f_throttle is not None:
-            window_ps = ns_to_ps(f_throttle[0])
-            busy_limit_ps = ns_to_ps(f_throttle[1])
-            extra_per_beat = ns_to_ps(timing.t_in_row * f_throttle[2])
-            win_start = [0] * n_vaults
-            win_busy = [0] * n_vaults
-            throttled = [False] * n_vaults
-
-        activations = 0
-        hits = 0
-        first_completion = 0
-        last_completion = 0
-        completions: list[int] | None = [] if record else None
-
-        jitter_total = 0
-        storm_total = 0
-        throttle_total = 0
-        latency_sum = 0
-        latency_max = 0
-
-        for i, gbank in enumerate(gbank_list):
-            vid = vault_list[i]
-            row = row_list[i]
-            ready = stream_ready if in_order else vault_ready[vid]
-            if arrival_list is not None and arrival_list[i] > ready:
-                ready = arrival_list[i]
-            if open_row[gbank] == row:
-                hits += 1
-                tsv_prev = tsv_next[vid]
-                beat = tsv_prev if tsv_prev > ready else ready
-                stall = 0
-                if refresh is not None:
-                    phase = (beat - refresh_offset[vid]) % refi
-                    if phase < rfc:
-                        stall = rfc - phase
+            # The data beat itself can land in a refresh or storm window.
+            if refresh is not None:
+                phase = (beat - refresh_offset[vid]) % refi
+                if phase < rfc:
+                    extra = rfc - phase
+                    if stall == 0:
                         stall_ts = beat
-                        beat += stall
-                for period, duration, offsets, vault_set in f_storms:
-                    if vault_set is not None and vid not in vault_set:
-                        continue
-                    phase = (beat - offsets[vid]) % period
-                    if phase < duration:
-                        extra = duration - phase
-                        if stall == 0:
-                            stall_ts = beat
-                        stall += extra
-                        beat += extra
-                        storm_total += extra
-                hit = True
-                act = beat  # event timestamp base for the beat
-            else:
-                act = bank_next_act[gbank]
-                if ready > act:
-                    act = ready
-                prev_act = last_act_time[vid]
-                bank = bank_list[i]
-                if prev_act != _NO_ACT and last_act_bank[vid] != bank:
-                    layer = bank % n_layers
-                    gap = t_diff_bank if layer == last_act_layer[vid] else t_in_vault
-                    gated = prev_act + gap
-                    if gated > act:
-                        act = gated
-                stall = 0
-                stall_ts = act
-                if refresh is not None:
-                    phase = (act - refresh_offset[vid]) % refi
-                    if phase < rfc:
-                        stall = rfc - phase
-                        act += stall
-                for period, duration, offsets, vault_set in f_storms:
-                    if vault_set is not None and vid not in vault_set:
-                        continue
-                    phase = (act - offsets[vid]) % period
-                    if phase < duration:
-                        extra = duration - phase
-                        stall += extra
-                        act += extra
-                        storm_total += extra
-                open_row[gbank] = row
-                bank_next_act[gbank] = act + t_diff_row
-                last_act_time[vid] = act
-                last_act_layer[vid] = bank % n_layers
-                last_act_bank[vid] = bank
-                activations += 1
-                tsv_prev = tsv_next[vid]
-                beat = tsv_prev if tsv_prev > act else act
-                if refresh is not None:
-                    phase = (beat - refresh_offset[vid]) % refi
-                    if phase < rfc:
-                        extra = rfc - phase
-                        if stall == 0:
-                            stall_ts = beat
-                        stall += extra
-                        beat += extra
-                for period, duration, offsets, vault_set in f_storms:
-                    if vault_set is not None and vid not in vault_set:
-                        continue
-                    phase = (beat - offsets[vid]) % period
-                    if phase < duration:
-                        extra = duration - phase
-                        if stall == 0:
-                            stall_ts = beat
-                        stall += extra
-                        beat += extra
-                        storm_total += extra
-                hit = False
+                    stall += extra
+                    beat += extra
 
-            # Thermal throttling: close windows that ended before this beat,
-            # then stretch the beat if the vault is currently derated.
-            beat_time = t_in_row
-            if f_throttle is not None:
-                ws = win_start[vid]
-                if beat >= ws + window_ps:
-                    elapsed_windows = (beat - ws) // window_ps
-                    hot = win_busy[vid] > busy_limit_ps
-                    # Only an *adjacent* hot window carries the derate over;
-                    # any idle window in between lets the vault cool.
-                    throttled[vid] = hot and elapsed_windows == 1
-                    if hot:
-                        faults.throttled_windows += 1
-                    win_start[vid] = ws + elapsed_windows * window_ps
-                    win_busy[vid] = 0
-                if throttled[vid]:
-                    beat_time += extra_per_beat
-                    throttle_total += extra_per_beat
-                win_busy[vid] += beat_time
-            completion = beat + beat_time
-            if f_jitter is not None:
-                jit = f_jitter[i]
-                completion += jit
-                jitter_total += jit
-            err = 0
-            if f_errors is not None:
-                err = f_errors[i]
-                if err == 1:
-                    completion += f_correction
-                    faults.corrected_errors += 1
-                elif err == 2:
-                    faults.uncorrectable_errors += 1
+            if faulty:
+                if storms is not None:
+                    for period, duration, offsets, vault_set in storms:
+                        if vault_set is not None and vid not in vault_set:
+                            continue
+                        phase = (beat - offsets[vid]) % period
+                        if phase < duration:
+                            extra = duration - phase
+                            if stall == 0:
+                                stall_ts = beat
+                            stall += extra
+                            beat += extra
+                            storm_total += extra
+                completion = beat + (t_in_row if tail_list is None else tail_list[i])
+                if throttle is not None:
+                    # Close windows that ended before this beat, then
+                    # stretch the beat if the vault is currently derated.
+                    ws = win_start[vid]
+                    if beat >= ws + window_ps:
+                        elapsed_windows = (beat - ws) // window_ps
+                        hot = win_busy[vid] > busy_limit_ps
+                        # Only an *adjacent* hot window carries the derate
+                        # over; any idle window in between lets it cool.
+                        throttled[vid] = hot and elapsed_windows == 1
+                        if hot:
+                            throttled_windows += 1
+                        win_start[vid] = ws + elapsed_windows * window_ps
+                        win_busy[vid] = 0
+                    if throttled[vid]:
+                        completion += extra_per_beat
+                        throttle_total += extra_per_beat
+                        win_busy[vid] += derated_beat
+                    else:
+                        win_busy[vid] += t_in_row
+            else:
+                completion = beat + t_in_row
 
             if record_event is not None:
                 bank = bank_list[i]
@@ -927,12 +695,14 @@ class Memory3D:
                 if hit:
                     record_event(
                         EV_ROW_HIT, vid, bank, row, ps_to_ns(beat),
-                        ps_to_ns(beat_time),
+                        ps_to_ns(derated_beat)
+                        if throttle is not None and throttled[vid]
+                        else timing.t_in_row,
                     )
-                if err:
+                if errors is not None and errors[i]:
                     record_event(
                         EV_BIT_ERROR, vid, bank, row, ps_to_ns(beat),
-                        faults.correction_ns if err == 1 else 0.0,
+                        correction_ns if errors[i] == ERR_CORRECTED else 0.0,
                     )
 
             tsv_next[vid] = completion
@@ -952,21 +722,21 @@ class Memory3D:
                 if latency > latency_max:
                     latency_max = latency
 
-        faults.jitter_ns = ps_to_ns(jitter_total)
-        faults.storm_stall_ns = ps_to_ns(storm_total)
-        faults.throttle_stall_ns = ps_to_ns(throttle_total)
+        if faults is not None:
+            faults.storm_stall_ns = ps_to_ns(storm_total)
+            faults.throttle_stall_ns = ps_to_ns(throttle_total)
+            faults.throttled_windows = throttled_windows
         busy = {
             vid: ps_to_ns(tsv_next[vid])
             for vid in range(n_vaults)
             if tsv_next[vid] > 0
         }
-        n_requests = len(trace)
         stats = AccessStats(
             requests=n_requests,
             bytes_transferred=n_requests * ELEMENT_BYTES,
             elapsed_ns=ps_to_ns(last_completion),
             row_activations=activations,
-            row_hits=hits,
+            row_hits=n_requests - activations,
             per_vault_busy_ns=busy,
             first_response_ns=ps_to_ns(first_completion),
             mean_request_latency_ns=(

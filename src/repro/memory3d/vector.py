@@ -82,9 +82,10 @@ Support envelope
 Refresh windows, storm/throttle fault windows and per-request event
 recording are inherently serial (each request's stall depends on where
 inside a wall-clock window its beat lands), so those configurations fall
-back to the exact engine -- see :func:`unsupported_reason`.  Vault
-remapping, latency jitter, arrival times and bit-error correction are
-handled here, vectorized.
+back to the exact engine -- see :func:`unsupported_reason`.  Arrival
+times are handled here, vectorized; vault remapping, latency jitter and
+bit-error correction come precomputed from :mod:`repro.memory3d.prepare`,
+the same helpers the exact loop uses.
 
 Per-request Python loops are banned in this module by lint rule DET004
 (see :mod:`repro.analysis.rules.determinism`): every ``for`` must
@@ -99,6 +100,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import AddressError
+from repro.memory3d.prepare import NO_ACT, decode, service_tail
 from repro.memory3d.stats import AccessStats
 from repro.memory3d.timebase import (
     mean_latency_ns,
@@ -137,14 +139,6 @@ AUTO_COMPILE_MIN = 1 << 14
 #: Minimum requests-per-run, on average, for auto-compilation to pay:
 #: below this the per-run Python arithmetic would rival the array scan.
 AUTO_COMPILE_RATIO = 64
-
-#: Error-class codes, mirroring ``repro.faults.plan`` (not imported at
-#: runtime to keep the faults -> memory3d dependency one-directional).
-_ERR_CORRECTED = 1
-_ERR_UNCORRECTABLE = 2
-
-#: Integer stand-in for "no activation yet", matching the exact engine.
-_NO_ACT = -(1 << 62)
 
 
 class VectorConvergenceError(RuntimeError):
@@ -266,7 +260,7 @@ class _Engine:
         # Carried cross-block state -- exactly the exact engine's arrays.
         self.open_row = np.full(self.n_banks, -1, dtype=np.int64)
         self.bank_next_act = np.zeros(self.n_banks, dtype=np.int64)
-        self.last_act_a = np.full(self.n_vaults, _NO_ACT, dtype=np.int64)
+        self.last_act_a = np.full(self.n_vaults, NO_ACT, dtype=np.int64)
         self.last_act_bank = np.full(self.n_vaults, -1, dtype=np.int64)
         self.vault_ready = np.zeros(self.n_vaults, dtype=np.int64)
         self.stream_ready = 0
@@ -442,7 +436,7 @@ class _Engine:
                 bound = last_act_a[v_first] + gate
                 apply = (prev_bank >= 0) & (prev_bank != ba_b[c_firsts])
                 a[c_firsts] = np.maximum(
-                    a[c_firsts], np.where(apply, bound, _NO_ACT)
+                    a[c_firsts], np.where(apply, bound, NO_ACT)
                 )
 
             # --- relax to the least fixpoint ------------------------------
@@ -581,7 +575,7 @@ class _Engine:
         """
         prev_bank = int(self.last_act_bank[vault])
         if prev_bank < 0 or prev_bank == bank:
-            return _NO_ACT
+            return NO_ACT
         gate = (
             self.t_diff_bank
             if prev_bank % self.n_layers == bank % self.n_layers
@@ -617,49 +611,6 @@ class _Engine:
         return stats, out
 
 
-def _decode(
-    memory: Memory3D, addresses: np.ndarray, faults: FaultState | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decode (with vault remapping) to int64 coordinate arrays."""
-    vaults_arr, banks_arr, rows_arr, _ = memory.mapping.decode_array(addresses)
-    if faults is not None and faults.remap is not None:
-        remap_arr = np.asarray(faults.remap, dtype=vaults_arr.dtype)
-        remapped = remap_arr[vaults_arr]
-        faults.remapped_requests = int((remapped != vaults_arr).sum())
-        vaults_arr = remapped
-    vaults64 = vaults_arr.astype(np.int64)
-    banks64 = banks_arr.astype(np.int64)
-    rows64 = rows_arr.astype(np.int64)
-    gbank = vaults64 * memory.config.banks_per_vault + banks64
-    return vaults64, banks64, rows64, gbank
-
-
-def _service_tail(
-    n: int, t_in_row: int, faults: FaultState | None
-) -> tuple[np.ndarray | None, int, int]:
-    """Per-request service tail ``add`` (``None`` = constant ``t_in_row``).
-
-    Returns ``(add, min_add, jitter_total)`` and books the fault
-    counters (corrected / uncorrectable errors) as a side effect, the
-    way the exact loop does while iterating.
-    """
-    if faults is None or (faults.jitter is None and faults.error_class is None):
-        return None, t_in_row, 0
-    add = np.full(n, t_in_row, dtype=np.int64)
-    jitter_total = 0
-    if faults.jitter is not None:
-        jit = ns_array_to_ps(np.asarray(faults.jitter, dtype=np.float64))
-        add += jit
-        jitter_total = int(jit.sum())
-    if faults.error_class is not None:
-        err = np.asarray(faults.error_class, dtype=np.int64)
-        corrected_mask = err == _ERR_CORRECTED
-        add += np.where(corrected_mask, ns_to_ps(faults.correction_ns), 0)
-        faults.corrected_errors = int(corrected_mask.sum())
-        faults.uncorrectable_errors = int((err == _ERR_UNCORRECTABLE).sum())
-    return add, int(add.min()), jitter_total
-
-
 def simulate_vector(
     memory: Memory3D,
     trace: TraceArray | CompiledTrace,
@@ -669,9 +620,10 @@ def simulate_vector(
 ) -> tuple[AccessStats, np.ndarray | None]:
     """Price one trace with array scans; exact-engine-equal by construction.
 
-    Mirrors the contract of ``Memory3D._simulate_fast`` /
-    ``_simulate_faulted``: returns the stats plus (when ``record`` is
-    set) the per-request completion times in ns.  The caller has already
+    Mirrors the contract of the exact loop ``Memory3D._simulate_exact``:
+    returns the stats plus (when ``record`` is set) the per-request
+    completion times in ns.  Vault remap and service tail come from the
+    same :mod:`repro.memory3d.prepare` helpers the exact loop uses.  The caller has already
     checked :func:`unsupported_reason`.  Accepts a raw
     :class:`~repro.trace.request.TraceArray` (auto-compiled when long
     and compressible) or a :class:`~repro.trace.compile.CompiledTrace`
@@ -706,16 +658,12 @@ def simulate_vector(
             raise AssertionError("compiled pricing is fault-free by construction")
         return engine.finish(n, had_arrivals=False, record=record)
 
-    va, ba, rows, gbank = _decode(memory, trace.addresses, faults)
-    add, min_add, jitter_total = _service_tail(n, engine.t_in_row, faults)
+    va, ba, rows, gbank = decode(memory, trace.addresses, faults)
+    add, min_add = service_tail(n, engine.t_in_row, faults)
     arrivals = (
         ns_array_to_ps(trace.arrival_ns) if trace.arrival_ns is not None else None
     )
     engine.price_arrays(va, ba, rows, gbank, add, min_add, arrivals, base=0)
-    if faults is not None:
-        faults.jitter_ns = ps_to_ns(jitter_total)
-        faults.storm_stall_ns = 0.0
-        faults.throttle_stall_ns = 0.0
     return engine.finish(n, had_arrivals=arrivals is not None, record=record)
 
 
@@ -787,7 +735,7 @@ def _price_compiled(
                 )
         else:
             addresses, _ = expand_runs(runs[s:e])
-            va, ba, rows, gbank = _decode(memory, addresses, None)
+            va, ba, rows, gbank = decode(memory, addresses, None)
             engine.price_arrays(
                 va,
                 ba,

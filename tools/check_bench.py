@@ -70,7 +70,6 @@ LEGACY_UNGATED = frozenset(
         "layout_comparison",
         "load_latency",
         "matmul",
-        "memory_engines",
         "permutation",
         "pipeline",
         "quantization",
