@@ -27,7 +27,7 @@ import time
 from conftest import banner, write_bench_json
 from repro.core.config import SystemConfig
 from repro.obs.logging import configure_logging, reset_logging
-from repro.obs.telemetry import TraceContext
+from repro.obs.telemetry import sweep_context
 from repro.serialization import system_to_dict
 from repro.sweep import SweepGrid, run_sweep
 from repro.sweep.grid import SweepPoint
@@ -79,9 +79,8 @@ def build_tasks(requests: int, telemetry: bool) -> list[dict]:
             "max_requests": requests,
         }
         if telemetry:
-            task["telemetry"] = TraceContext(
-                run_id="bench", point_id=index
-            ).as_dict()
+            task["run_id"] = "bench"
+            task["tracectx"] = sweep_context("bench", index).as_dict()
         tasks.append(task)
     return tasks
 

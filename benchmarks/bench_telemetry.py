@@ -36,7 +36,7 @@ from repro.sweep.runner import (
     point_result,
     system_from_dict,
 )
-from repro.obs.telemetry import TraceContext
+from repro.obs.telemetry import sweep_context
 
 #: Workload and tolerance per mode: (requests, repeats, off_overhead_cap).
 FULL = (16_384, 5, 1.05)
@@ -78,9 +78,8 @@ def build_tasks(requests: int, telemetry: bool) -> list[dict]:
             "max_requests": requests,
         }
         if telemetry:
-            task["telemetry"] = TraceContext(
-                run_id="bench", point_id=index
-            ).as_dict()
+            task["run_id"] = "bench"
+            task["tracectx"] = sweep_context("bench", index).as_dict()
         tasks.append(task)
     return tasks
 

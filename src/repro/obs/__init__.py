@@ -15,10 +15,11 @@ with zero third-party dependencies:
   timers for the modelling pipeline.
 * :mod:`repro.obs.export` -- Chrome ``trace_event`` JSON (open in
   Perfetto) and per-vault utilization / row-hit breakdown tables.
-* :mod:`repro.obs.telemetry` -- cross-process run telemetry: the sweep
-  runner injects a :class:`TraceContext` into each worker, workers ship
-  :class:`WorkerTelemetry` payloads back, and :class:`RunTelemetry`
-  merges everything into one clock-aligned Perfetto trace.
+* :mod:`repro.obs.telemetry` -- cross-process run telemetry: sweep and
+  serve workers record :class:`WorkerTelemetry` payloads whose span ids
+  derive from the attempt's :class:`TraceContext`, and
+  :class:`RunTelemetry` merges a sweep's payloads into one clock-aligned
+  Perfetto trace.
 * :mod:`repro.obs.profile` -- a zero-dependency
   :class:`SamplingProfiler` (``--profile hz``) with collapsed-stack and
   top-N self-time output.
@@ -32,10 +33,14 @@ with zero third-party dependencies:
   :class:`SweepStatus` accounting plus the embedded ``/status`` +
   ``/metrics`` + ``/logs`` HTTP server behind ``repro sweep --monitor``
   and ``repro tail``.
-* :mod:`repro.obs.tracectx` -- W3C-traceparent-style request tracing:
-  deterministic :class:`repro.obs.tracectx.TraceContext` trace/span ids
-  and the :class:`RequestTracer` span/link rings behind the serving
-  stack's end-to-end Perfetto trees.
+* :mod:`repro.obs.endpoint` -- the one embedded HTTP server
+  (:class:`~repro.obs.endpoint.EndpointServer`) the sweep monitor and
+  ``repro serve`` both run on, each supplying only its routes.
+* :mod:`repro.obs.tracectx` -- the one trace context: W3C-traceparent
+  :class:`TraceContext` with deterministic trace/span ids (request ids
+  for serve, run id + point + attempt for sweeps) and the
+  :class:`RequestTracer` span/link rings behind the serving stack's
+  end-to-end Perfetto trees.
 * :mod:`repro.obs.histogram` -- shared latency-histogram bucket
   boundaries plus exemplar-aware observe/summarize helpers
   (p50/p95/p99 for ``/status`` and ``repro tail``).
@@ -118,15 +123,11 @@ from repro.obs.openmetrics import (
 )
 from repro.obs.profile import SamplingProfiler, profile_call
 from repro.obs.spans import Span, SpanTimeline, span_or_null
-from repro.obs.telemetry import (
-    ClockAnchor,
-    RunTelemetry,
-    TraceContext,
-    WorkerTelemetry,
-)
+from repro.obs.telemetry import ClockAnchor, RunTelemetry, WorkerTelemetry
 from repro.obs.tracectx import (
     TRACEPARENT_SCHEMA,
     RequestTracer,
+    TraceContext,
     parse_traceparent,
 )
 

@@ -47,6 +47,27 @@ def event_slice_name(kind: int) -> str:
     """The Perfetto slice label for one event kind."""
     return _EVENT_NAMES.get(kind, f"KIND_{kind}")
 
+
+def chrome_track_name(pid: int, name: str, tid: int | None = None) -> dict:
+    """The metadata event naming process ``pid`` (or its thread ``tid``)."""
+    return {
+        "name": "process_name" if tid is None else "thread_name",
+        "ph": "M",
+        "pid": pid,
+        "tid": 0 if tid is None else tid,
+        "args": {"name": name},
+    }
+
+
+def dump_json(doc: dict, target: str | IO[str]) -> None:
+    """Write ``doc`` as JSON to a path or an open text file."""
+    if isinstance(target, str):
+        with open(target, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+    else:
+        json.dump(doc, target)
+
+
 #: Process id offset for the span (host-time) track, clear of vault pids.
 SPAN_PID = 10_000
 
@@ -63,25 +84,9 @@ def chrome_trace_events(events: EventTrace) -> list[dict]:
     for vault, bank in zip(events.vaults, events.banks, strict=True):
         seen_tracks.add((vault, bank))
     for vault in sorted({v for v, _ in seen_tracks}):
-        out.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": vault,
-                "tid": 0,
-                "args": {"name": f"vault {vault}"},
-            }
-        )
+        out.append(chrome_track_name(vault, f"vault {vault}"))
     for vault, bank in sorted(seen_tracks):
-        out.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": vault,
-                "tid": bank,
-                "args": {"name": f"bank {bank}"},
-            }
-        )
+        out.append(chrome_track_name(vault, f"bank {bank}", tid=bank))
     for kind, vault, bank, row, ts, dur in zip(
         events.kinds, events.vaults, events.banks, events.rows,
         events.ts_ns, events.dur_ns, strict=True,
@@ -116,15 +121,7 @@ def chrome_trace(
     """
     trace_events = chrome_trace_events(events)
     if spans is not None and len(spans):
-        trace_events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": SPAN_PID,
-                "tid": 0,
-                "args": {"name": "host phases"},
-            }
-        )
+        trace_events.append(chrome_track_name(SPAN_PID, "host phases"))
         trace_events.extend(spans.to_chrome_events(pid=SPAN_PID))
     doc: dict = {"traceEvents": trace_events, "displayTimeUnit": "ns"}
     if metadata:
@@ -139,12 +136,7 @@ def write_chrome_trace(
     metadata: dict | None = None,
 ) -> None:
     """Serialize :func:`chrome_trace` to a path or open text file."""
-    doc = chrome_trace(events, spans=spans, metadata=metadata)
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-    else:
-        json.dump(doc, target)
+    dump_json(chrome_trace(events, spans=spans, metadata=metadata), target)
 
 
 # ------------------------------------------------------------------- tables

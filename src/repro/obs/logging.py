@@ -129,7 +129,8 @@ def level_number(level: int | str) -> int:
     return int(level)
 
 
-def _json_safe(value: Any) -> Any:
+def json_safe(value: Any) -> Any:
+    """``value`` if JSON-native (bool/int/float/str/None), else ``str(value)``."""
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
     return str(value)
@@ -425,8 +426,8 @@ class StructuredLogger:
             message=message,
             ts_s=time.time(),
             perf_s=time.perf_counter(),
-            context={k: _json_safe(v) for k, v in self.context.items()},
-            fields={k: _json_safe(v) for k, v in fields.items()},
+            context={k: json_safe(v) for k, v in self.context.items()},
+            fields={k: json_safe(v) for k, v in fields.items()},
         )
         pipeline.emit(record)
 

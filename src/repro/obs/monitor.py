@@ -10,9 +10,10 @@ Two pieces:
   It also accumulates the per-point metrics snapshots into a live
   :class:`~repro.obs.metrics.MetricsRegistry` so ``/metrics`` serves
   real mid-run numbers, not an end-of-run merge.
-* :class:`SweepMonitor` -- a stdlib ``http.server`` thread in the
-  parent process (``repro sweep --monitor PORT``; port 0 binds an
-  ephemeral port) exposing:
+* :class:`SweepMonitor` -- an
+  :class:`~repro.obs.endpoint.EndpointServer` thread in the parent
+  process (``repro sweep --monitor PORT``; port 0 binds an ephemeral
+  port) exposing:
 
   - ``GET /status`` -- one JSON document (:data:`STATUS_SCHEMA`):
     progress, throughput, ETA, per-worker state, failures, cache hits;
@@ -26,27 +27,26 @@ Two pieces:
 the single-line live view (:func:`render_status_line`).
 
 Monitoring is run *metadata*: the deterministic sweep document is
-byte-identical with the monitor on or off (enforced by tests).  The
-future ``repro serve`` service reuses this module for its ``/metrics``
-endpoint and request tracing.
+byte-identical with the monitor on or off (enforced by tests).
+``repro serve`` (:class:`~repro.serve.app.PlanServer`) runs on the same
+:mod:`repro.obs.endpoint` server and shares :data:`OPENMETRICS_CONTENT_TYPE`.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 from repro.errors import ReproError
+from repro.obs.endpoint import EndpointHandler, EndpointServer
 from repro.obs.histogram import (
     POINT_DURATION_BOUNDS,
     observe_latency,
     summarize_latencies,
 )
-from repro.obs.logging import RingBufferSink, get_logger, global_ring
+from repro.obs.logging import RingBufferSink, global_ring
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.openmetrics import render_openmetrics
 
@@ -323,69 +323,7 @@ class SweepStatus:
 
 
 # ----------------------------------------------------------------- HTTP server
-class _MonitorHandler(BaseHTTPRequestHandler):
-    """Request handler for the three monitor endpoints."""
-
-    server_version = "repro-monitor/1"
-    #: Set by :class:`SweepMonitor` on the server object.
-    server: Any
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        split = urlsplit(self.path)
-        monitor: SweepMonitor = self.server.monitor
-        if split.path == "/status":
-            self._send_json(monitor.status.snapshot())
-        elif split.path == "/metrics":
-            text = render_openmetrics(monitor.status.metrics_snapshot())
-            self._send(200, OPENMETRICS_CONTENT_TYPE, text.encode("utf-8"))
-        elif split.path == "/logs":
-            query = parse_qs(split.query)
-            try:
-                n = int(query.get("n", [str(DEFAULT_LOG_TAIL)])[0])
-            except ValueError:
-                self._send_json(
-                    {"error": "query parameter n must be an integer"},
-                    code=400,
-                )
-                return
-            records = monitor.ring.tail(n)
-            self._send_json(
-                {
-                    "schema": "repro-logs-tail/v1",
-                    "count": len(records),
-                    "dropped": monitor.ring.dropped,
-                    "records": [record.as_dict() for record in records],
-                }
-            )
-        else:
-            self._send_json(
-                {
-                    "error": f"unknown path {split.path!r}",
-                    "endpoints": ["/status", "/metrics", "/logs"],
-                },
-                code=404,
-            )
-
-    def _send_json(self, payload: dict[str, Any], code: int = 200) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send(code, "application/json; charset=utf-8", body)
-
-    def _send(self, code: int, content_type: str, body: bytes) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Route http.server chatter into the structured logger."""
-        get_logger("repro.obs.monitor").debug(
-            "http request", request=format % args,
-            client=self.client_address[0],
-        )
-
-
-class SweepMonitor:
+class SweepMonitor(EndpointServer):
     """The embedded monitoring server around one :class:`SweepStatus`.
 
     Usage (the CLI does exactly this for ``--monitor PORT``)::
@@ -401,6 +339,12 @@ class SweepMonitor:
     :attr:`url` after construction.  :meth:`close` is idempotent.
     """
 
+    error = MonitorError
+    role = "monitor"
+    server_version = "repro-monitor/1"
+    thread_name = "repro-monitor"
+    log_name = "repro.obs.monitor"
+
     def __init__(
         self,
         status: SweepStatus | None = None,
@@ -408,71 +352,47 @@ class SweepMonitor:
         host: str = "127.0.0.1",
         ring: RingBufferSink | None = None,
     ) -> None:
-        if port < 0 or port > 65535:
-            raise MonitorError(f"invalid monitor port {port}")
         self.status = status if status is not None else SweepStatus()
         self._ring = ring
-        try:
-            self._server = ThreadingHTTPServer((host, port), _MonitorHandler)
-        except OSError as exc:
-            raise MonitorError(
-                f"cannot bind monitor to {host}:{port} ({exc})"
-            ) from exc
-        self._server.daemon_threads = True
-        self._server.monitor = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-        self._closed = False
+        super().__init__(
+            {
+                ("GET", "/status"): lambda request: request.send_json(
+                    self.status.snapshot()
+                ),
+                ("GET", "/metrics"): self._get_metrics,
+                ("GET", "/logs"): self._get_logs,
+            },
+            port=port,
+            host=host,
+        )
 
     @property
     def ring(self) -> RingBufferSink:
         """The ring buffer ``/logs`` serves (global pipeline's default)."""
         return self._ring if self._ring is not None else global_ring()
 
-    @property
-    def host(self) -> str:
-        """Bound host address."""
-        return self._server.server_address[0]
+    def _get_metrics(self, request: EndpointHandler) -> None:
+        text = render_openmetrics(self.status.metrics_snapshot())
+        request.send_body(200, OPENMETRICS_CONTENT_TYPE, text.encode("utf-8"))
 
-    @property
-    def port(self) -> int:
-        """Bound port (the actual one when constructed with ``port=0``)."""
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running server."""
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "SweepMonitor":
-        """Serve requests in a daemon thread (no-op when already running)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                name="repro-monitor",
-                daemon=True,
+    def _get_logs(self, request: EndpointHandler) -> None:
+        query = parse_qs(request.query)
+        try:
+            n = int(query.get("n", [str(DEFAULT_LOG_TAIL)])[0])
+        except ValueError:
+            request.send_json(
+                {"error": "query parameter n must be an integer"}, code=400
             )
-            self._thread.start()
-            get_logger("repro.obs.monitor").info(
-                "monitor serving", url=self.url
-            )
-        return self
-
-    def close(self) -> None:
-        """Stop serving and release the socket (idempotent)."""
-        if self._closed:
             return
-        self._closed = True
-        if self._thread is not None:
-            self._server.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._server.server_close()
-
-    def __enter__(self) -> "SweepMonitor":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        records = self.ring.tail(n)
+        request.send_json(
+            {
+                "schema": "repro-logs-tail/v1",
+                "count": len(records),
+                "dropped": self.ring.dropped,
+                "records": [record.as_dict() for record in records],
+            }
+        )
 
 
 # ------------------------------------------------------------------- tail view

@@ -1,15 +1,18 @@
-"""Cross-process run telemetry: trace contexts, worker payloads, merging.
+"""Cross-process run telemetry: worker payloads and their merge.
 
-The parallel sweep engine fans grid points out over worker processes,
-and before this module those workers were observability black holes:
-per-point spans, retry timing and cache behaviour died inside the child
-process, leaving a 40-point sweep summarised by one wall-clock number.
-This module threads one trace through the whole run:
+The parallel sweep engine and the planning service both run points in
+worker processes, and before this module those workers were
+observability black holes: per-point spans, retry timing and cache
+behaviour died inside the child process, leaving a 40-point sweep
+summarised by one wall-clock number.  This module threads one trace
+through the whole run:
 
-* :class:`TraceContext` -- the identity the runner injects into each
-  worker task (run id, point id, attempt);
+* every worker task carries the W3C
+  :class:`~repro.obs.tracectx.TraceContext` of its attempt (``tracectx``,
+  for sweeps :func:`sweep_context` of the run id, point and attempt);
 * :class:`WorkerTelemetry` -- what a worker records locally (a
-  :class:`~repro.obs.spans.SpanTimeline`, run-telemetry events, a
+  :class:`~repro.obs.spans.SpanTimeline` whose span ids derive from the
+  attempt's context, run-telemetry events, a
   :class:`~repro.obs.metrics.MetricsRegistry`) plus a
   :class:`ClockAnchor` pairing its monotonic clock with wall time, all
   serialized as one JSON-native payload shipped back with the result;
@@ -18,7 +21,8 @@ This module threads one trace through the whole run:
   queue waits are derived from dispatch-vs-start timestamps, and the
   whole run exports as ONE Chrome ``trace_event`` JSON -- runner spans,
   per-point lifecycle tracks (queue wait, retries, cache hits) and one
-  process per worker.
+  process per worker, whose spans carry the same
+  ``trace_id``/``span_id``/``parent_id`` args as a serve trace.
 
 All wall-clock reads in the repository's deterministic layers happen
 here (``repro.obs`` is the DET001-exempt zone); telemetry is run
@@ -27,10 +31,9 @@ here (``repro.obs`` is the DET001-exempt zone); telemetry is run
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Any
 
 from repro.errors import ReproError
@@ -40,7 +43,8 @@ from repro.obs.events import (
     EventKind,
     registered_event_names,
 )
-from repro.obs.export import event_slice_name
+from repro.obs.export import chrome_track_name, dump_json, event_slice_name
+from repro.obs.histogram import QUEUE_WAIT_BOUNDS
 from repro.obs.logging import (
     DEBUG,
     ListSink,
@@ -48,12 +52,16 @@ from repro.obs.logging import (
     LogRecord,
     StructuredLogger,
     global_pipeline,
+    json_safe,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanTimeline
+from repro.obs.tracectx import TraceContext, TraceError
 
-#: Schema tag stamped into every serialized worker payload.
-WORKER_TELEMETRY_SCHEMA = "repro-worker-telemetry/v1"
+#: Schema tag stamped into every serialized worker payload (v2 replaced
+#: the run id with the attempt's ``tracectx`` and gave every span its
+#: derived ``span_id``/``parent_id``).
+WORKER_TELEMETRY_SCHEMA = "repro-worker-telemetry/v2"
 
 #: Chrome pid of the parent runner's span track.
 RUNNER_PID = 0
@@ -63,9 +71,6 @@ POINTS_PID = 1
 
 #: First chrome pid assigned to worker processes (then sequential).
 WORKER_PID_BASE = 100
-
-#: Bucket bounds for the queue-wait histogram (seconds).
-_QUEUE_WAIT_BOUNDS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
 
 
 class TelemetryError(ReproError):
@@ -108,37 +113,17 @@ class ClockAnchor:
 
 
 # --------------------------------------------------------------- trace context
-@dataclass(frozen=True)
-class TraceContext:
-    """The identity a sweep runner injects into one worker task.
+def sweep_context(run_id: str, point_id: int, attempt: int = 1) -> TraceContext:
+    """The trace context of one sweep point attempt.
 
-    Attributes:
-        run_id: stable identifier of the whole sweep run (the runner
-            derives it from the sweep's content digest).
-        point_id: grid index of the point this task executes.
-        attempt: 1-based attempt number under the resilient executor.
+    A pure function of (run id, point index, attempt): every point of a
+    run shares the run's ``trace_id``, and reruns derive the same ids.
     """
-
-    run_id: str
-    point_id: int
-    attempt: int = 1
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-native form (embedded in worker task payloads)."""
-        return {
-            "run_id": self.run_id,
-            "point_id": self.point_id,
-            "attempt": self.attempt,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TraceContext":
-        """Inverse of :meth:`as_dict`."""
-        return cls(
-            run_id=str(data["run_id"]),
-            point_id=int(data["point_id"]),
-            attempt=int(data.get("attempt", 1)),
-        )
+    return (
+        TraceContext.root(run_id)
+        .child("point", point_id)
+        .child("attempt", attempt)
+    )
 
 
 # ------------------------------------------------------------ telemetry events
@@ -184,29 +169,21 @@ class TelemetryEvent:
             meta=dict(data.get("meta", {})),
         )
 
-
-def _span_to_dict(span: Span, span_id: int) -> dict[str, Any]:
-    return {
-        "id": span_id,
-        "name": span.name,
-        "start_s": span.start_s,
-        "end_s": span.end_s,
-        "depth": span.depth,
-        "parent": span.parent,
-        "meta": {k: _json_safe(v) for k, v in span.meta.items()},
-    }
-
-
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    return str(value)
-
-
-def _timeline_to_dicts(timeline: SpanTimeline) -> list[dict[str, Any]]:
-    return [
-        _span_to_dict(span, index) for index, span in enumerate(timeline.spans)
-    ]
+    def chrome_event(self, pid: int, tid: int, origin_s: float) -> dict:
+        """This event as a Chrome slice (``X``) or instant (``i``)."""
+        entry = {
+            "name": event_slice_name(self.kind),
+            "cat": "telemetry",
+            "pid": pid,
+            "tid": tid,
+            "ts": (self.ts_s - origin_s) * 1e6,
+            "args": {k: json_safe(v) for k, v in self.meta.items()},
+        }
+        if self.dur_s > 0:
+            entry.update(ph="X", dur=self.dur_s * 1e6)
+        else:
+            entry.update(ph="i", s="t")
+        return entry
 
 
 def _timeline_from_dicts(spans: list[dict[str, Any]]) -> SpanTimeline:
@@ -227,9 +204,37 @@ def _timeline_from_dicts(spans: list[dict[str, Any]]) -> SpanTimeline:
     return timeline
 
 
+class _Recorder:
+    """Clock anchor, span timeline, events and metrics of one process."""
+
+    def __init__(self, anchor: ClockAnchor | None = None) -> None:
+        self.anchor = anchor or ClockAnchor.now()
+        self.timeline = SpanTimeline()
+        self.registry = MetricsRegistry()
+        self.events: list[TelemetryEvent] = []
+
+    def now(self) -> float:
+        """This process's monotonic clock (``perf_counter`` seconds)."""
+        return time.perf_counter()
+
+    def record_event(
+        self, kind: int, dur_s: float = 0.0, ts_s: float | None = None,
+        **meta: Any,
+    ) -> TelemetryEvent:
+        """Record one run-telemetry event (timestamped now by default)."""
+        event = TelemetryEvent(
+            kind=int(kind),
+            ts_s=self.now() if ts_s is None else ts_s,
+            dur_s=dur_s,
+            meta={k: json_safe(v) for k, v in meta.items()},
+        )
+        self.events.append(event)
+        return event
+
+
 # ------------------------------------------------------------ worker telemetry
-class WorkerTelemetry:
-    """What one worker records about one grid-point execution.
+class WorkerTelemetry(_Recorder):
+    """What one worker records about one point attempt.
 
     Created at task pickup (:meth:`start` anchors the clocks and records
     a ``WORKER_START`` event), filled by the worker body (spans around
@@ -241,15 +246,17 @@ class WorkerTelemetry:
     def __init__(
         self,
         context: TraceContext,
+        point_id: int = 0,
+        attempt: int = 1,
         worker_id: int | None = None,
         anchor: ClockAnchor | None = None,
     ) -> None:
+        super().__init__(anchor)
+        #: The attempt's trace context; worker span ids derive from it.
         self.context = context
+        self.point_id = point_id
+        self.attempt = attempt
         self.worker_id = os.getpid() if worker_id is None else worker_id
-        self.anchor = anchor or ClockAnchor.now()
-        self.timeline = SpanTimeline()
-        self.registry = MetricsRegistry()
-        self.events: list[TelemetryEvent] = []
         #: Structured log records captured by :meth:`logger`, shipped
         #: home with the payload and clock-aligned on merge like spans.
         self.logs: list[LogRecord] = []
@@ -257,19 +264,47 @@ class WorkerTelemetry:
         self._log_pipeline.sinks = [ListSink(self.logs)]
 
     @classmethod
-    def start(cls, context: TraceContext) -> "WorkerTelemetry":
+    def start(
+        cls, context: TraceContext, point_id: int = 0, attempt: int = 1
+    ) -> "WorkerTelemetry":
         """Begin recording: anchor the clocks, mark ``WORKER_START``."""
-        telemetry = cls(context)
-        telemetry.record_event(
-            EV_WORKER_START,
-            point=context.point_id,
-            attempt=context.attempt,
-        )
+        telemetry = cls(context, point_id, attempt)
+        telemetry.record_event(EV_WORKER_START, point=point_id, attempt=attempt)
         return telemetry
 
-    def now(self) -> float:
-        """This process's monotonic clock (``perf_counter`` seconds)."""
-        return time.perf_counter()
+    def span_contexts(self) -> list[TraceContext]:
+        """One trace context per timeline span, in timeline order.
+
+        Span ``i`` is ``context.child("wspan", i)``, parented on its
+        enclosing span or, for a root span, on the attempt itself --
+        so worker spans hang under the attempt in sweep and serve
+        traces alike.
+        """
+        contexts: list[TraceContext] = []
+        for index, span in enumerate(self.timeline.spans):
+            parent = contexts[span.parent] if span.parent >= 0 else self.context
+            derived = self.context.child("wspan", index)
+            contexts.append(
+                TraceContext(derived.trace_id, derived.span_id, parent.span_id)
+            )
+        return contexts
+
+    def span_dicts(self, offset_s: float = 0.0) -> list[dict[str, Any]]:
+        """The timeline as JSON-native dicts carrying the derived
+        ``span_id``/``parent_id``, timestamps shifted by ``offset_s``."""
+        return [
+            {
+                "span_id": context.span_id,
+                "parent_id": context.parent_id,
+                "name": span.name,
+                "start_s": span.start_s + offset_s,
+                "end_s": None if span.end_s is None else span.end_s + offset_s,
+                "depth": span.depth,
+                "parent": span.parent,
+                "meta": {k: json_safe(v) for k, v in span.meta.items()},
+            }
+            for span, context in zip(self.timeline.spans, self.span_contexts())
+        ]
 
     def logger(
         self, name: str = "repro.sweep.worker", **extra: Any
@@ -277,47 +312,33 @@ class WorkerTelemetry:
         """A logger whose records are captured into :attr:`logs`.
 
         The returned logger is pre-bound with the full correlation
-        context (run, point, worker pid, attempt, plus any non-``None``
-        ``extra`` context such as a ``trace_id``) and writes into this
-        payload only -- records travel home with the task outcome and
-        reach the parent's sinks via
+        context (point, worker pid, attempt, trace id, plus any
+        non-``None`` ``extra`` context such as the sweep's ``run_id``)
+        and writes into this payload only -- records travel home with
+        the task outcome and reach the parent's sinks via
         :meth:`RunTelemetry.merge_worker`, clock-aligned like spans.
         """
         context: dict[str, Any] = {
-            "run_id": self.context.run_id,
-            "point_id": self.context.point_id,
-            "worker_id": self.worker_id,
-            "attempt": self.context.attempt,
+            key: value for key, value in extra.items() if value is not None
         }
         context.update(
-            {key: value for key, value in extra.items() if value is not None}
+            point_id=self.point_id,
+            worker_id=self.worker_id,
+            attempt=self.attempt,
+            trace_id=self.context.trace_id,
         )
         return StructuredLogger(name, context, self._log_pipeline)
-
-    def record_event(
-        self, kind: int, dur_s: float = 0.0, ts_s: float | None = None,
-        **meta: Any,
-    ) -> TelemetryEvent:
-        """Record one run-telemetry event (timestamped now by default)."""
-        event = TelemetryEvent(
-            kind=int(kind),
-            ts_s=self.now() if ts_s is None else ts_s,
-            dur_s=dur_s,
-            meta={k: _json_safe(v) for k, v in meta.items()},
-        )
-        self.events.append(event)
-        return event
 
     def as_dict(self) -> dict[str, Any]:
         """The JSON-native payload shipped back with the task outcome."""
         return {
             "schema": WORKER_TELEMETRY_SCHEMA,
-            "run_id": self.context.run_id,
-            "point_id": self.context.point_id,
-            "attempt": self.context.attempt,
+            "tracectx": self.context.as_dict(),
+            "point_id": self.point_id,
+            "attempt": self.attempt,
             "worker_id": self.worker_id,
             "anchor": self.anchor.as_dict(),
-            "spans": _timeline_to_dicts(self.timeline),
+            "spans": self.span_dicts(),
             "events": [event.as_dict() for event in self.events],
             "metrics": self.registry.as_dict(),
             "logs": [record.as_dict() for record in self.logs],
@@ -339,13 +360,10 @@ class WorkerTelemetry:
                 f"(schema {data.get('schema')!r} != {WORKER_TELEMETRY_SCHEMA!r})"
             )
         try:
-            context = TraceContext(
-                run_id=str(data["run_id"]),
+            telemetry = cls(
+                TraceContext.from_dict(data["tracectx"]),
                 point_id=int(data["point_id"]),
                 attempt=int(data.get("attempt", 1)),
-            )
-            telemetry = cls(
-                context,
                 worker_id=int(data["worker_id"]),
                 anchor=ClockAnchor.from_dict(data["anchor"]),
             )
@@ -361,7 +379,9 @@ class WorkerTelemetry:
                 LogRecord.from_dict(entry)
                 for entry in data.get("logs", [])
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (
+            KeyError, TypeError, ValueError, AttributeError, TraceError
+        ) as exc:
             raise TelemetryError(
                 f"malformed worker telemetry payload ({exc!r})"
             ) from exc
@@ -369,7 +389,7 @@ class WorkerTelemetry:
 
 
 # --------------------------------------------------------------- run telemetry
-class RunTelemetry:
+class RunTelemetry(_Recorder):
     """The parent-side merge of a whole run's telemetry.
 
     Collects the runner's own spans and events, dispatch timestamps per
@@ -380,11 +400,10 @@ class RunTelemetry:
     """
 
     def __init__(self, run_id: str) -> None:
+        super().__init__()
         self.run_id = run_id
-        self.anchor = ClockAnchor.now()
-        self.timeline = SpanTimeline()
-        self.registry = MetricsRegistry()
-        self.events: list[TelemetryEvent] = []
+        #: The run's root context: every worker payload shares its trace.
+        self.context = TraceContext.root(run_id)
         #: Aligned worker records, in merge order.  Each holds the raw
         #: payload's identity plus spans/events shifted into the parent
         #: clock domain.
@@ -397,10 +416,6 @@ class RunTelemetry:
         return cls(run_id)
 
     # ------------------------------------------------------------- recording
-    def now(self) -> float:
-        """The parent's monotonic clock (``perf_counter`` seconds)."""
-        return time.perf_counter()
-
     def span(self, name: str, **meta: Any):
         """A parent-side timeline span (context manager)."""
         return self.timeline.span(name, **meta)
@@ -409,66 +424,38 @@ class RunTelemetry:
         """Record the dispatch instant of one point (queue-wait origin)."""
         self._submits[point_id] = self.now()
 
-    def record_event(
-        self, kind: int, dur_s: float = 0.0, ts_s: float | None = None,
-        **meta: Any,
-    ) -> TelemetryEvent:
-        """Record one parent-side run-telemetry event."""
-        event = TelemetryEvent(
-            kind=int(kind),
-            ts_s=self.now() if ts_s is None else ts_s,
-            dur_s=dur_s,
-            meta={k: _json_safe(v) for k, v in meta.items()},
-        )
-        self.events.append(event)
-        return event
-
-    def context_for(self, point_id: int, attempt: int = 1) -> TraceContext:
-        """The :class:`TraceContext` to inject into one worker task."""
-        return TraceContext(
-            run_id=self.run_id, point_id=point_id, attempt=attempt
-        )
-
     # --------------------------------------------------------------- merging
     def merge_worker(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Fold one worker payload in; returns the aligned record.
 
         Spans and events are shifted into the parent's monotonic domain
-        (anchor-pair offset), worker span ids are namespaced by worker
-        so duplicate ids across processes can never collide, a
-        ``QUEUE_WAIT`` event is derived from the dispatch timestamp, and
-        the worker's metrics fold into :attr:`registry`.
+        (anchor-pair offset), each span keeps its derived trace ids plus
+        an ``id`` namespaced by worker and point, a ``QUEUE_WAIT`` event
+        is derived from the dispatch timestamp, and the worker's
+        metrics fold into :attr:`registry`.
         """
         telemetry = WorkerTelemetry.from_dict(payload)
-        if telemetry.context.run_id != self.run_id:
+        trace_id = telemetry.context.trace_id
+        if trace_id != self.context.trace_id:
             raise TelemetryError(
-                f"worker payload belongs to run {telemetry.context.run_id!r}, "
-                f"expected {self.run_id!r}"
+                f"worker payload belongs to trace {trace_id!r}, "
+                f"expected run {self.run_id!r}"
             )
         offset = telemetry.anchor.offset_to(self.anchor)
-        point_id = telemetry.context.point_id
-        spans = []
-        for span_id, span in enumerate(telemetry.timeline.spans):
-            aligned = _span_to_dict(span, span_id)
-            aligned["id"] = f"{telemetry.worker_id}/{point_id}/{span_id}"
-            aligned["start_s"] = span.start_s + offset
-            if span.end_s is not None:
-                aligned["end_s"] = span.end_s + offset
-            spans.append(aligned)
+        point_id = telemetry.point_id
+        spans = telemetry.span_dicts(offset)
+        for index, span in enumerate(spans):
+            span["id"] = f"{telemetry.worker_id}/{point_id}/{index}"
         events = [
-            TelemetryEvent(
-                kind=event.kind,
-                ts_s=event.ts_s + offset,
-                dur_s=event.dur_s,
-                meta=event.meta,
-            )
+            replace(event, ts_s=event.ts_s + offset)
             for event in telemetry.events
         ]
         logs = [log.shifted(offset) for log in telemetry.logs]
         record = {
             "worker_id": telemetry.worker_id,
             "point_id": point_id,
-            "attempt": telemetry.context.attempt,
+            "attempt": telemetry.attempt,
+            "trace_id": trace_id,
             "clock_offset_s": offset,
             "spans": spans,
             "events": events,
@@ -493,7 +480,7 @@ class RunTelemetry:
             )
             self.registry.histogram(
                 "telemetry.queue_wait_s",
-                _QUEUE_WAIT_BOUNDS,
+                QUEUE_WAIT_BOUNDS,
                 help="dispatch-to-worker-start wait per point (seconds)",
             ).observe(wait)
         return record
@@ -539,20 +526,13 @@ class RunTelemetry:
         point with its lifecycle slices (``QUEUE_WAIT`` waits, ``RETRY``
         and ``CACHE_HIT`` instants); each worker process gets its own
         pid (named after the worker's OS pid) whose slices are the
-        clock-aligned worker spans.  All timestamps are microseconds
-        relative to the earliest aligned instant, so the viewer opens at
-        t=0 with every process on one monotonic axis.
+        clock-aligned worker spans, carrying ``trace_id``/``span_id``/
+        ``parent_id`` args like a serve trace.  All timestamps are
+        microseconds relative to the earliest aligned instant, so the
+        viewer opens at t=0 with every process on one monotonic axis.
         """
         origin = self.origin_s()
-        out: list[dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": RUNNER_PID,
-                "tid": 0,
-                "args": {"name": "sweep runner"},
-            }
-        ]
+        out = [chrome_track_name(RUNNER_PID, "sweep runner")]
         out.extend(
             self.timeline.to_chrome_events(
                 pid=RUNNER_PID, tid=0, clock_offset_s=origin
@@ -565,65 +545,37 @@ class RunTelemetry:
             | {record["point_id"] for record in self.workers}
         )
         if point_ids:
-            out.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": POINTS_PID,
-                    "tid": 0,
-                    "args": {"name": "sweep points"},
-                }
-            )
-        for point_id in point_ids:
-            out.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": POINTS_PID,
-                    "tid": point_id,
-                    "args": {"name": f"point {point_id}"},
-                }
-            )
-        for event in self.events:
-            tid = event.meta.get("point", 0)
-            entry = {
-                "name": event_slice_name(event.kind),
-                "cat": "telemetry",
-                "pid": POINTS_PID,
-                "tid": tid,
-                "ts": (event.ts_s - origin) * 1e6,
-                "args": {k: _json_safe(v) for k, v in event.meta.items()},
-            }
-            if event.dur_s > 0:
-                entry["ph"] = "X"
-                entry["dur"] = event.dur_s * 1e6
-            else:
-                entry["ph"] = "i"
-                entry["s"] = "t"
-            out.append(entry)
+            out.append(chrome_track_name(POINTS_PID, "sweep points"))
+        out.extend(
+            chrome_track_name(POINTS_PID, f"point {point_id}", tid=point_id)
+            for point_id in point_ids
+        )
+        out.extend(
+            event.chrome_event(POINTS_PID, event.meta.get("point", 0), origin)
+            for event in self.events
+        )
 
         pid_of = {
             worker_id: WORKER_PID_BASE + index
             for index, worker_id in enumerate(self.worker_ids())
         }
-        for worker_id, pid in pid_of.items():
-            out.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": f"worker pid={worker_id}"},
-                }
-            )
+        out.extend(
+            chrome_track_name(pid, f"worker pid={worker_id}")
+            for worker_id, pid in pid_of.items()
+        )
         for record in self.workers:
             pid = pid_of[record["worker_id"]]
             for span in record["spans"]:
                 end = span["end_s"]
                 duration = 0.0 if end is None else end - span["start_s"]
-                args = {str(k): _json_safe(v) for k, v in span["meta"].items()}
-                args["span"] = span["id"]
-                args["point"] = record["point_id"]
+                args = {str(k): json_safe(v) for k, v in span["meta"].items()}
+                args.update(
+                    span=span["id"],
+                    point=record["point_id"],
+                    trace_id=record["trace_id"],
+                    span_id=span["span_id"],
+                    parent_id=span["parent_id"],
+                )
                 out.append(
                     {
                         "name": span["name"],
@@ -636,21 +588,9 @@ class RunTelemetry:
                         "args": args,
                     }
                 )
-            for event in record["events"]:
-                out.append(
-                    {
-                        "name": event_slice_name(event.kind),
-                        "cat": "telemetry",
-                        "ph": "i",
-                        "s": "t",
-                        "pid": pid,
-                        "tid": 0,
-                        "ts": (event.ts_s - origin) * 1e6,
-                        "args": {
-                            k: _json_safe(v) for k, v in event.meta.items()
-                        },
-                    }
-                )
+            out.extend(
+                event.chrome_event(pid, 0, origin) for event in record["events"]
+            )
 
         doc: dict = {"traceEvents": out, "displayTimeUnit": "ms"}
         other = {"run_id": self.run_id, "workers": len(pid_of)}
@@ -663,9 +603,4 @@ class RunTelemetry:
         self, target: str | IO[str], metadata: dict | None = None
     ) -> None:
         """Serialize :meth:`chrome_trace` to a path or open text file."""
-        doc = self.chrome_trace(metadata=metadata)
-        if isinstance(target, str):
-            with open(target, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle)
-        else:
-            json.dump(doc, target)
+        dump_json(self.chrome_trace(metadata=metadata), target)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from hashlib import sha256
 
 from repro.errors import ReproError
+from repro.obs.export import chrome_track_name
 
 TRACEPARENT_SCHEMA = "repro-traceparent/v1"
 TRACEPARENT_KEYS = frozenset({"schema", "trace_id", "span_id", "parent_id"})
@@ -259,15 +260,7 @@ class RequestTracer:
         span/parent ids ride in ``args`` so the tree is reconstructable,
         and links become instant ("i") events.
         """
-        events: list[dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": f"serve trace {trace_id[:8]}"},
-            }
-        ]
+        events = [chrome_track_name(pid, f"serve trace {trace_id[:8]}")]
         for record in self.spans_for(trace_id):
             events.append(
                 {

@@ -1,9 +1,10 @@
 """HTTP transport of the layout-planning service.
 
 :class:`PlanServer` wraps one :class:`~repro.serve.service.PlanService`
-in the same stdlib ``ThreadingHTTPServer`` idiom as the sweep monitor
-(:class:`~repro.obs.monitor.SweepMonitor`): a daemon thread, ephemeral
-ports via ``port=0``, idempotent ``close()``.  Endpoints:
+in the :class:`~repro.obs.endpoint.EndpointServer` the sweep monitor
+(:class:`~repro.obs.monitor.SweepMonitor`) runs on too: a daemon thread,
+ephemeral ports via ``port=0``, idempotent ``close()``, routing on the
+path without its query string.  This module supplies only the routes:
 
 * ``POST /plan``  -- one plan request; 200 (envelope), 400 (bad
   request), 429 + ``Retry-After`` (shed), 503 (degraded / shutdown),
@@ -35,10 +36,9 @@ from __future__ import annotations
 import json
 import signal
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.obs.logging import get_logger
+from repro.obs.endpoint import EndpointHandler, EndpointServer
 from repro.obs.monitor import OPENMETRICS_CONTENT_TYPE
 from repro.obs.openmetrics import render_openmetrics
 from repro.serve.schemas import ServeError, error_envelope
@@ -48,131 +48,7 @@ from repro.serve.service import PlanService
 MAX_BODY_BYTES = 1 << 20
 
 
-class _ServeHandler(BaseHTTPRequestHandler):
-    """Request handler bridging HTTP to the service core."""
-
-    server_version = "repro-serve/1"
-    #: Set by :class:`PlanServer` on the server object.
-    server: Any
-
-    @property
-    def _service(self) -> PlanService:
-        return self.server.service
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/healthz":
-            self._send_json({"ok": True})
-        elif self.path == "/readyz":
-            ready = self._service.ready()
-            self._send_json(
-                {"ready": ready}, code=200 if ready else 503
-            )
-        elif self.path == "/status":
-            self._send_json(self._service.status_snapshot())
-        elif self.path == "/metrics":
-            text = render_openmetrics(self._service.metrics_snapshot())
-            self._send(200, OPENMETRICS_CONTENT_TYPE, text.encode("utf-8"))
-        elif self.path == "/debug/bundle":
-            recorder = self._service.recorder
-            if recorder is None:
-                self._send_json(
-                    error_envelope(
-                        "no-recorder",
-                        "service is running without a flight recorder",
-                    ),
-                    code=404,
-                )
-            else:
-                self._send_json(recorder.capture("on-demand"))
-        else:
-            self._send_json(
-                {
-                    "error": f"unknown path {self.path!r}",
-                    "endpoints": [
-                        "/healthz",
-                        "/readyz",
-                        "/status",
-                        "/metrics",
-                        "/debug/bundle",
-                        "POST /plan",
-                    ],
-                },
-                code=404,
-            )
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path != "/plan":
-            self._send_json(
-                {"error": f"unknown path {self.path!r}"}, code=404
-            )
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            self._send_json(
-                error_envelope(
-                    "bad-request", "missing or oversized request body"
-                ),
-                code=400,
-            )
-            return
-        try:
-            data = json.loads(self.rfile.read(length) or b"{}")
-        except (OSError, json.JSONDecodeError) as exc:
-            self._send_json(
-                error_envelope("bad-request", f"invalid JSON body ({exc})"),
-                code=400,
-            )
-            return
-        try:
-            code, payload, headers = self._service.handle(
-                data, traceparent=self.headers.get("traceparent")
-            )
-        except ServeError as exc:
-            self._send_json(
-                error_envelope("unavailable", str(exc)), code=503
-            )
-            return
-        self._send_json(payload, code=code, headers=headers)
-
-    def _send_json(
-        self,
-        payload: dict[str, Any],
-        code: int = 200,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send(
-            code, "application/json; charset=utf-8", body, headers=headers
-        )
-
-    def _send(
-        self,
-        code: int,
-        content_type: str,
-        body: bytes,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Route http.server chatter into the structured logger."""
-        get_logger("repro.serve.http").debug(
-            "http request",
-            request=format % args,
-            client=self.client_address[0],
-        )
-
-
-class PlanServer:
+class PlanServer(EndpointServer):
     """The HTTP server around one (started) :class:`PlanService`.
 
     Usage::
@@ -187,69 +63,88 @@ class PlanServer:
     owner.
     """
 
+    error = ServeError
+    role = "serve"
+    server_version = "repro-serve/1"
+    thread_name = "repro-serve-http"
+    log_name = "repro.serve.http"
+
     def __init__(
         self,
         service: PlanService,
         port: int = 0,
         host: str = "127.0.0.1",
     ) -> None:
-        if port < 0 or port > 65535:
-            raise ServeError(f"invalid serve port {port}")
         self.service = service
-        try:
-            self._server = ThreadingHTTPServer((host, port), _ServeHandler)
-        except OSError as exc:
-            raise ServeError(
-                f"cannot bind service to {host}:{port} ({exc})"
-            ) from exc
-        self._server.daemon_threads = True
-        self._server.service = service  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-        self._closed = False
+        super().__init__(
+            {
+                ("GET", "/healthz"): lambda request: request.send_json(
+                    {"ok": True}
+                ),
+                ("GET", "/readyz"): self._get_readyz,
+                ("GET", "/status"): lambda request: request.send_json(
+                    service.status_snapshot()
+                ),
+                ("GET", "/metrics"): self._get_metrics,
+                ("GET", "/debug/bundle"): self._get_bundle,
+                ("POST", "/plan"): self._post_plan,
+            },
+            port=port,
+            host=host,
+        )
 
-    @property
-    def host(self) -> str:
-        """Bound host address."""
-        return self._server.server_address[0]
+    def _get_readyz(self, request: EndpointHandler) -> None:
+        ready = self.service.ready()
+        request.send_json({"ready": ready}, code=200 if ready else 503)
 
-    @property
-    def port(self) -> int:
-        """Bound port (the actual one when constructed with ``port=0``)."""
-        return self._server.server_address[1]
+    def _get_metrics(self, request: EndpointHandler) -> None:
+        text = render_openmetrics(self.service.metrics_snapshot())
+        request.send_body(200, OPENMETRICS_CONTENT_TYPE, text.encode("utf-8"))
 
-    @property
-    def url(self) -> str:
-        """Base URL of the running server."""
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "PlanServer":
-        """Serve requests in a daemon thread (no-op when already running)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                name="repro-serve-http",
-                daemon=True,
+    def _get_bundle(self, request: EndpointHandler) -> None:
+        recorder = self.service.recorder
+        if recorder is None:
+            request.send_json(
+                error_envelope(
+                    "no-recorder",
+                    "service is running without a flight recorder",
+                ),
+                code=404,
             )
-            self._thread.start()
-            get_logger("repro.serve").info("serving", url=self.url)
-        return self
+        else:
+            request.send_json(recorder.capture("on-demand"))
 
-    def close(self) -> None:
-        """Stop listening and release the socket (idempotent)."""
-        if self._closed:
+    def _post_plan(self, request: EndpointHandler) -> None:
+        try:
+            length = int(request.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            request.send_json(
+                error_envelope(
+                    "bad-request", "missing or oversized request body"
+                ),
+                code=400,
+            )
             return
-        self._closed = True
-        if self._thread is not None:
-            self._server.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._server.server_close()
-
-    def __enter__(self) -> "PlanServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        try:
+            data = json.loads(request.rfile.read(length) or b"{}")
+        except (OSError, json.JSONDecodeError) as exc:
+            request.send_json(
+                error_envelope("bad-request", f"invalid JSON body ({exc})"),
+                code=400,
+            )
+            return
+        try:
+            code, payload, headers = self.service.handle(
+                data, traceparent=request.headers.get("traceparent")
+            )
+        except ServeError as exc:
+            request.send_json(
+                error_envelope("unavailable", str(exc)), code=503
+            )
+            return
+        request.send_json(payload, code=code, headers=headers)
 
 
 def serve_forever(

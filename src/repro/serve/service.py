@@ -41,6 +41,7 @@ import threading
 import time
 from concurrent.futures import CancelledError as FutureCancelled
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.config import SystemConfig
@@ -92,6 +93,19 @@ SHED_RETRY_AFTER_S = 1
 #: How often the drain loop re-checks for idleness, seconds.
 _DRAIN_POLL_S = 0.02
 
+#: The service's event counters (``/status`` ``counters`` keys), each
+#: exported as ``serve.<key>`` on ``/metrics`` with this help text.
+_COUNTER_HELP = {
+    "deadline_misses": "requests past their deadline",
+    "cache_hits": "points answered from cache",
+    "coalesced": "point computations joined in flight",
+    "computed_points": "points computed by workers",
+    "degraded_answers": "cache-only degraded 200s",
+    "degraded_refusals": "degraded 503 refusals",
+    "compute_failures": "requests failed by workers",
+    "flight_dumps": "flight-recorder bundles written",
+}
+
 
 class _PointFailure(ServeError):
     """A point exhausted its attempts; carries the canonical reason."""
@@ -103,25 +117,17 @@ class _PointFailure(ServeError):
         self.reason = reason
 
 
+@dataclass(eq=False)
 class _SharedPoint:
     """One in-flight point computation, shared by coalesced waiters."""
 
-    __slots__ = ("key", "task", "cancel_event", "waiters", "trace_id")
-
-    def __init__(
-        self,
-        key: str,
-        task: "asyncio.Task[dict[str, Any] | None]",
-        cancel_event: threading.Event,
-        trace_id: str | None = None,
-    ) -> None:
-        self.key = key
-        self.task = task
-        self.cancel_event = cancel_event
-        self.waiters = 0
-        #: Trace of the request that started the computation; coalesced
-        #: joiners link their traces to it.
-        self.trace_id = trace_id
+    key: str
+    task: "asyncio.Task[dict[str, Any] | None]"
+    cancel_event: threading.Event
+    #: Trace of the request that started the computation; coalesced
+    #: joiners link their traces to it.
+    trace_id: str
+    waiters: int = 0
 
 
 def _consume_exception(task: "asyncio.Task[Any]") -> None:
@@ -206,16 +212,7 @@ class PlanService:
         self._inflight: dict[str, _SharedPoint] = {}
         self._seq = itertools.count(1)
         self._metrics_lock = threading.Lock()
-        self._counters = {
-            "cache_hits": 0,
-            "coalesced": 0,
-            "computed_points": 0,
-            "deadline_misses": 0,
-            "degraded_answers": 0,
-            "degraded_refusals": 0,
-            "compute_failures": 0,
-            "flight_dumps": 0,
-        }
+        self._counters = dict.fromkeys(_COUNTER_HELP, 0)
         #: canonical QuarantineReason value -> count of failed points.
         self._failure_reasons: dict[str, int] = {}
         self._closed = False
@@ -272,12 +269,8 @@ class PlanService:
             )
             return None
         self._bump("flight_dumps")
-        log = (
-            get_logger("repro.serve", trace_id=trace_id)
-            if trace_id
-            else get_logger("repro.serve")
-        )
-        log.warning(
+        context = {"trace_id": trace_id} if trace_id else {}
+        get_logger("repro.serve", **context).warning(
             "flight bundle dumped", event="FLIGHT_DUMP", trigger=trigger, path=path
         )
         return path
@@ -576,11 +569,7 @@ class PlanService:
             if coalesced:
                 self._bump("coalesced", coalesced)
             for share in shares:
-                if (
-                    share.waiters > 1
-                    and share.trace_id is not None
-                    and share.trace_id != ctx.trace_id
-                ):
+                if share.waiters > 1 and share.trace_id != ctx.trace_id:
                     if self.tracer is not None:
                         self.tracer.link(ctx, share.trace_id, "coalesced")
                     log.info(
@@ -666,24 +655,20 @@ class PlanService:
 
     # ------------------------------------------------------------- coalescing
     def _acquire(
-        self, key: str, payload: dict[str, Any], ctx: TraceContext | None = None
+        self, key: str, payload: dict[str, Any], ctx: TraceContext
     ) -> _SharedPoint:
         """Join (or start) the in-flight computation for ``key``."""
         assert self._loop is not None
         shared = self._inflight.get(key)
         if shared is None:
             cancel_event = threading.Event()
-            point_ctx = ctx.child(f"point:{key[:12]}") if ctx is not None else None
             task = self._loop.create_task(
-                self._run_point(key, payload, cancel_event, point_ctx)
+                self._run_point(
+                    key, payload, cancel_event, ctx.child(f"point:{key[:12]}")
+                )
             )
             task.add_done_callback(_consume_exception)
-            shared = _SharedPoint(
-                key,
-                task,
-                cancel_event,
-                trace_id=ctx.trace_id if ctx is not None else None,
-            )
+            shared = _SharedPoint(key, task, cancel_event, ctx.trace_id)
             self._inflight[key] = shared
         shared.waiters += 1
         return shared
@@ -710,7 +695,7 @@ class PlanService:
         key: str,
         payload: dict[str, Any],
         cancel_event: threading.Event,
-        ctx: TraceContext | None = None,
+        ctx: TraceContext,
     ) -> dict[str, Any] | None:
         """The single shared task computing one point on the pool."""
         assert self._loop is not None and self._pool is not None
@@ -727,7 +712,7 @@ class PlanService:
         key: str,
         payload: dict[str, Any],
         cancel_event: threading.Event,
-        ctx: TraceContext | None = None,
+        ctx: TraceContext,
     ) -> dict[str, Any] | None:
         """Pool-thread body: retries of one killable child-process attempt.
 
@@ -742,16 +727,13 @@ class PlanService:
         task = dict(payload)
         task["index"] = 0
         task["engine"] = self.engine
-        last_error = "SweepExecutionError"
-        last_message = "no attempt ran"
-        last_reason = QuarantineReason.EXCEPTION
         point_start_s = time.perf_counter()
         try:
             return self._attempt_loop(
                 task, key, payload, cancel_event, ctx
             )
         finally:
-            if self.tracer is not None and ctx is not None:
+            if self.tracer is not None:
                 self.tracer.record(
                     ctx,
                     "point",
@@ -766,7 +748,7 @@ class PlanService:
         key: str,
         payload: dict[str, Any],
         cancel_event: threading.Event,
-        ctx: TraceContext | None,
+        ctx: TraceContext,
     ) -> dict[str, Any] | None:
         """The retrying attempt loop of :meth:`_compute_point`."""
         last_error = "SweepExecutionError"
@@ -780,15 +762,8 @@ class PlanService:
             chaos = self.chaos
             if chaos is not None:
                 attempt_task["chaos"] = chaos.as_dict()
-            attempt_ctx = (
-                ctx.child("attempt", attempt) if ctx is not None else None
-            )
-            if attempt_ctx is not None and self.tracer is not None:
-                attempt_task["telemetry"] = {
-                    "run_id": f"trace:{attempt_ctx.trace_id}",
-                    "point_id": 0,
-                    "attempt": attempt,
-                }
+            attempt_ctx = ctx.child("attempt", attempt)
+            if self.tracer is not None:
                 attempt_task["tracectx"] = attempt_ctx.as_dict()
             attempt_start_s = time.perf_counter()
             status = run_attempt(
@@ -797,21 +772,16 @@ class PlanService:
             attempt_duration_s = float(
                 status.get("duration_s", time.perf_counter() - attempt_start_s)
             )
-            exemplar = (
-                attempt_ctx.trace_id
-                if attempt_ctx is not None
-                else (ctx.trace_id if ctx is not None else None)
-            )
             with self._metrics_lock:
                 observe_latency(
                     self._latency,
                     "serve.attempt_s",
                     attempt_duration_s,
                     ATTEMPT_BOUNDS,
-                    exemplar=exemplar,
+                    exemplar=ctx.trace_id,
                     help="one killable worker attempt (seconds)",
                 )
-            if self.tracer is not None and attempt_ctx is not None:
+            if self.tracer is not None:
                 self.tracer.record(
                     attempt_ctx,
                     "attempt",
@@ -822,10 +792,7 @@ class PlanService:
                 )
             if status["status"] == "ok":
                 result = status["outcome"]["result"]
-                if self.tracer is not None and attempt_ctx is not None:
-                    self._merge_worker_trace(
-                        attempt_ctx, status["outcome"].get("telemetry")
-                    )
+                self._merge_worker_trace(status["outcome"].get("telemetry"))
                 self.breaker.record_success()
                 if self.cache is not None:
                     self.cache.put(
@@ -853,15 +820,13 @@ class PlanService:
             )
         raise _PointFailure(last_error, last_message, last_reason.value)
 
-    def _merge_worker_trace(
-        self, attempt_ctx: TraceContext, payload: dict[str, Any] | None
-    ) -> None:
+    def _merge_worker_trace(self, payload: dict[str, Any] | None) -> None:
         """Fold a worker child's telemetry spans into the request trace.
 
-        Worker timestamps are shifted into this process's perf domain
-        via the anchor pair; span parentage is preserved by deriving a
-        deterministic context per worker span.  Telemetry defects are
-        swallowed -- tracing must never fail a successful compute.
+        The worker derived each span's context from the attempt's, so
+        this only shifts timestamps into this process's perf domain (via
+        the anchor pair).  Telemetry defects are swallowed -- tracing
+        must never fail a successful compute.
         """
         if self.tracer is None or not payload:
             return
@@ -870,23 +835,10 @@ class PlanService:
         except TelemetryError:
             return
         offset = telemetry.anchor.offset_to(self._anchor)
-        contexts: dict[int, TraceContext] = {}
-        for span_id, span in enumerate(telemetry.timeline.spans):
-            derived = attempt_ctx.child("wspan", span_id)
-            parent = contexts.get(span.parent)
-            span_ctx = TraceContext(
-                trace_id=derived.trace_id,
-                span_id=derived.span_id,
-                parent_id=(
-                    parent.span_id if parent is not None else attempt_ctx.span_id
-                ),
-            )
-            contexts[span_id] = span_ctx
-            duration_s = (
-                max(0.0, span.end_s - span.start_s)
-                if span.end_s is not None
-                else 0.0
-            )
+        for span, span_ctx in zip(
+            telemetry.timeline.spans, telemetry.span_contexts()
+        ):
+            duration_s = max(0.0, span.duration_s)
             self.tracer.record(
                 span_ctx,
                 f"worker:{span.name}",
@@ -974,31 +926,10 @@ class PlanService:
         registry.counter(
             "serve.breaker_trips", help="times the breaker opened"
         ).inc(snap["breaker"]["trips"])
-        counters = snap["counters"]
-        registry.counter(
-            "serve.deadline_misses", help="requests past their deadline"
-        ).inc(counters["deadline_misses"])
-        registry.counter(
-            "serve.cache_hits", help="points answered from cache"
-        ).inc(counters["cache_hits"])
-        registry.counter(
-            "serve.coalesced", help="point computations joined in flight"
-        ).inc(counters["coalesced"])
-        registry.counter(
-            "serve.computed_points", help="points computed by workers"
-        ).inc(counters["computed_points"])
-        registry.counter(
-            "serve.degraded_answers", help="cache-only degraded 200s"
-        ).inc(counters["degraded_answers"])
-        registry.counter(
-            "serve.degraded_refusals", help="degraded 503 refusals"
-        ).inc(counters["degraded_refusals"])
-        registry.counter(
-            "serve.compute_failures", help="requests failed by workers"
-        ).inc(counters["compute_failures"])
-        registry.counter(
-            "serve.flight_dumps", help="flight-recorder bundles written"
-        ).inc(counters["flight_dumps"])
+        for name, help_text in _COUNTER_HELP.items():
+            registry.counter(f"serve.{name}", help=help_text).inc(
+                snap["counters"][name]
+            )
         with self._metrics_lock:
             latency = self._latency.as_dict()
         registry.merge_snapshot(latency)

@@ -40,7 +40,8 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import SweepStatus
 from repro.obs.spans import span_or_null
-from repro.obs.telemetry import RunTelemetry, TraceContext, WorkerTelemetry
+from repro.obs.telemetry import RunTelemetry, WorkerTelemetry, sweep_context
+from repro.obs.tracectx import TraceContext
 from repro.serialization import system_from_dict, system_to_dict, system_with_overrides
 from repro.sweep.cache import CACHE_VERSION, ResultCache
 from repro.sweep.grid import SweepGrid, SweepPoint
@@ -175,33 +176,22 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
     :class:`~repro.sweep.resilience.WorkerChaos`) makes the attempt
     misbehave for executor testing.
 
-    When the task carries a ``telemetry`` trace context (see
-    :class:`~repro.obs.telemetry.TraceContext`) the worker records a
+    When the task carries its attempt's ``tracectx`` (a
+    :class:`~repro.obs.tracectx.TraceContext` dict) the worker records a
     local span timeline around the simulation and ships the serialized
     :class:`~repro.obs.telemetry.WorkerTelemetry` payload back on the
     outcome; without it the body is exactly the pre-telemetry code path.
+    A sweep task's ``run_id`` only tags the worker's log records.
     """
+    attempt = task.get("attempt", 1)
     chaos = task.get("chaos")
     if chaos:
-        apply_chaos(chaos, task["index"], task.get("attempt", 1))
-    ctx_data = task.get("telemetry")
-    tracectx = task.get("tracectx")
-    trace_id = (
-        str(tracectx["trace_id"])
-        if isinstance(tracectx, dict) and tracectx.get("trace_id")
-        else None
-    )
-    trace_meta = {"trace_id": trace_id} if trace_id else {}
+        apply_chaos(chaos, task["index"], attempt)
     worker_tel: WorkerTelemetry | None = None
-    if ctx_data:
-        ctx = TraceContext.from_dict(ctx_data)
-        if task.get("attempt", 1) != ctx.attempt:
-            ctx = TraceContext(
-                run_id=ctx.run_id,
-                point_id=ctx.point_id,
-                attempt=task.get("attempt", 1),
-            )
-        worker_tel = WorkerTelemetry.start(ctx)
+    if task.get("tracectx"):
+        worker_tel = WorkerTelemetry.start(
+            TraceContext.from_dict(task["tracectx"]), task["index"], attempt
+        )
     config = system_from_dict(task["config"])
     point = SweepPoint(**task["point"])
     registry = MetricsRegistry()
@@ -212,8 +202,7 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
             n=point.n,
             layout=point.layout,
             config=point.config_label,
-            attempt=task.get("attempt", 1),
-            **trace_meta,
+            attempt=attempt,
         ):
             with worker_tel.timeline.span("simulate"):
                 result = point_result(
@@ -228,8 +217,8 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
         "metrics": registry.as_dict(),
     }
     if worker_tel is not None:
-        worker_tel.record_event(EV_WORKER_END, point=task["index"], **trace_meta)
-        worker_tel.logger(**trace_meta).debug(
+        worker_tel.record_event(EV_WORKER_END, point=task["index"])
+        worker_tel.logger(run_id=task.get("run_id")).debug(
             "point simulated",
             n=result["n"],
             layout=result["layout"],
@@ -261,6 +250,10 @@ def _attempt_point(
     for attempt in range(1, policy.max_attempts + 1):
         payload = dict(task)
         payload["attempt"] = attempt
+        if "run_id" in task:
+            payload["tracectx"] = sweep_context(
+                task["run_id"], index, attempt
+            ).as_dict()
         if chaos is not None:
             payload["chaos"] = chaos.as_dict()
         status = run_attempt(payload, policy.timeout_s)
@@ -436,8 +429,9 @@ def run_sweep(
             byte-identical to an uninterrupted run (enforced by tests).
         checkpoint_every: completions between snapshots.
         telemetry: record cross-process run telemetry -- every worker
-            task carries a :class:`~repro.obs.telemetry.TraceContext`,
-            workers ship span/event payloads back, and the merged
+            task carries its attempt's trace context
+            (:func:`~repro.obs.telemetry.sweep_context`), workers ship
+            span/event payloads back, and the merged
             :class:`~repro.obs.telemetry.RunTelemetry` lands on the
             result's ``telemetry`` attribute (run metadata only: the
             deterministic JSON document is untouched).
@@ -552,7 +546,8 @@ def run_sweep(
         if run_tel is not None:
             # Attached AFTER key_for(payload): the trace context must
             # never influence cache identity.
-            task["telemetry"] = run_tel.context_for(index).as_dict()
+            task["run_id"] = run_tel.run_id
+            task["tracectx"] = sweep_context(run_tel.run_id, index).as_dict()
         tasks.append(task)
 
     failures: list[dict[str, Any]] = []

@@ -257,7 +257,7 @@ class TestSweepIntegration:
             assert log.context["run_id"] == result.telemetry.run_id
             assert log.context["attempt"] >= 1
             assert set(log.context) == {
-                "run_id", "point_id", "worker_id", "attempt",
+                "run_id", "point_id", "worker_id", "attempt", "trace_id",
             }
         # Merge forwarded the aligned records into the global pipeline.
         ring_messages = [r.message for r in global_ring().tail()]

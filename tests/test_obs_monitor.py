@@ -22,7 +22,7 @@ from repro.obs.logging import (
     reset_logging,
     validate_log_line,
 )
-from repro.obs.monitor import OPENMETRICS_CONTENT_TYPE, MonitorError
+from repro.obs.monitor import OPENMETRICS_CONTENT_TYPE
 from repro.sweep import SweepGrid, run_sweep
 
 
@@ -228,29 +228,6 @@ class TestEndpoints:
         code, doc = get_json(monitor.url + "/nope")
         assert code == 404
         assert doc["endpoints"] == ["/status", "/metrics", "/logs"]
-
-
-class TestMonitorLifecycle:
-    def test_invalid_port_rejected(self):
-        with pytest.raises(MonitorError, match="invalid monitor port"):
-            SweepMonitor(SweepStatus(), port=70000)
-
-    def test_close_is_idempotent_and_releases_port(self):
-        monitor = SweepMonitor(SweepStatus(), port=0).start()
-        port = monitor.port
-        monitor.close()
-        monitor.close()
-        # The port is free again: a new monitor can bind it.
-        rebound = SweepMonitor(SweepStatus(), port=port)
-        rebound.close()
-
-    def test_start_is_idempotent(self):
-        monitor = SweepMonitor(SweepStatus(), port=0).start().start()
-        try:
-            code, _ = get_json(monitor.url + "/status")
-            assert code == 200
-        finally:
-            monitor.close()
 
 
 GRID = SweepGrid(sizes=(128,), layouts=("row-major", "ddl"))

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs import ClockAnchor, RunTelemetry, TraceContext, WorkerTelemetry
+from repro.obs import ClockAnchor, RunTelemetry, WorkerTelemetry
 from repro.obs.report import (
     build_run_report,
     load_bench_history,
@@ -11,6 +11,7 @@ from repro.obs.report import (
     svg_timeline,
     write_run_report,
 )
+from repro.obs.telemetry import sweep_context
 
 
 def merged_run() -> RunTelemetry:
@@ -18,7 +19,7 @@ def merged_run() -> RunTelemetry:
     run = RunTelemetry.start("report-run")
     run.anchor = ClockAnchor(wall_s=100.0, perf_s=10.0)
     worker = WorkerTelemetry(
-        TraceContext("report-run", point_id=0),
+        sweep_context("report-run", 0),
         worker_id=777,
         anchor=ClockAnchor(wall_s=100.0, perf_s=3.0),
     )

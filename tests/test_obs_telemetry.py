@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.obs import ClockAnchor, RunTelemetry, TraceContext, WorkerTelemetry
+from repro.obs import (
+    ClockAnchor,
+    RequestTracer,
+    RunTelemetry,
+    TraceContext,
+    WorkerTelemetry,
+)
 from repro.obs.events import (
     EV_CACHE_HIT,
     EV_QUEUE_WAIT,
@@ -18,7 +24,10 @@ from repro.obs.telemetry import (
     WORKER_TELEMETRY_SCHEMA,
     TelemetryError,
     TelemetryEvent,
+    sweep_context,
 )
+from repro.serve import PlanService
+from repro.sweep import SweepGrid, run_sweep
 
 
 def make_run(run_id="run", wall=1000.0, perf=50.0) -> RunTelemetry:
@@ -39,7 +48,8 @@ def make_worker(
 ) -> WorkerTelemetry:
     """A WorkerTelemetry with a pinned anchor and one closed span."""
     telemetry = WorkerTelemetry(
-        TraceContext(run_id=run_id, point_id=point_id),
+        sweep_context(run_id, point_id),
+        point_id=point_id,
         worker_id=worker_id,
         anchor=ClockAnchor(wall_s=wall, perf_s=perf),
     )
@@ -70,14 +80,72 @@ class TestClockAnchor:
         assert anchor.wall_s > 0 and anchor.perf_s > 0
 
 
-class TestTraceContext:
-    def test_round_trip(self):
-        ctx = TraceContext(run_id="abc123", point_id=7, attempt=3)
-        assert TraceContext.from_dict(ctx.as_dict()) == ctx
+class TestTraceIdentity:
+    """One trace context and one span-id rule for sweep and serve."""
 
-    def test_attempt_defaults_to_one(self):
-        ctx = TraceContext.from_dict({"run_id": "r", "point_id": 0})
-        assert ctx.attempt == 1
+    def test_sweep_contexts_derive_from_run_point_and_attempt(self):
+        ctx = sweep_context("abc123", 7, 3)
+        assert ctx == sweep_context("abc123", 7, 3)
+        assert ctx == (
+            TraceContext.root("abc123").child("point", 7).child("attempt", 3)
+        )
+        assert sweep_context("abc123", 7) == sweep_context("abc123", 7, 1)
+        # One trace per run; every (point, attempt) is its own span.
+        siblings = [
+            sweep_context("abc123", 7, 2),
+            sweep_context("abc123", 8, 3),
+        ]
+        assert {other.trace_id for other in siblings} == {ctx.trace_id}
+        assert ctx.span_id not in {other.span_id for other in siblings}
+        assert sweep_context("other", 7, 3).trace_id != ctx.trace_id
+
+    def test_sweep_worker_spans_hang_under_their_attempt(self):
+        result = run_sweep(
+            SweepGrid(sizes=(128,), layouts=("row-major", "ddl")),
+            max_requests=2_048,
+            jobs=2,
+            telemetry=True,
+        )
+        run_id = result.telemetry.run_id
+        spans = [
+            event
+            for event in result.telemetry.chrome_trace()["traceEvents"]
+            if event["ph"] == "X" and event["pid"] >= WORKER_PID_BASE
+        ]
+        assert {span["name"] for span in spans} == {"point", "simulate"}
+        roots = 0
+        for span in spans:
+            args = span["args"]
+            assert args["trace_id"] == TraceContext.root(run_id).trace_id
+            same_worker = {
+                other["args"]["span_id"]
+                for other in spans
+                if other["pid"] == span["pid"] and other is not span
+            }
+            attempt = sweep_context(run_id, args["point"]).span_id
+            assert args["parent_id"] in same_worker | {attempt}
+            roots += args["parent_id"] == attempt
+        assert roots == 2  # one "point" root per grid point
+
+    def test_serve_worker_span_ids_follow_the_attempt_rule(self):
+        tracer = RequestTracer()
+        with PlanService(jobs=1, tracer=tracer) as service:
+            code, envelope, _ = service.handle({"n": 256, "max_requests": 2048})
+        assert code == 200
+        spans = tracer.spans_for(envelope["trace_id"])
+        attempts = [span.context for span in spans if span.name == "attempt"]
+        expected = set()
+        for attempt in attempts:
+            point = attempt.child("wspan", 0)
+            expected.add(TraceContext(point.trace_id, point.span_id, attempt.span_id))
+            simulate = attempt.child("wspan", 1)
+            expected.add(
+                TraceContext(simulate.trace_id, simulate.span_id, point.span_id)
+            )
+        workers = {
+            span.context for span in spans if span.name.startswith("worker:")
+        }
+        assert attempts and workers == expected
 
 
 class TestTelemetryEvent:
@@ -94,7 +162,7 @@ class TestTelemetryEvent:
 
 class TestWorkerTelemetry:
     def test_start_marks_worker_start(self):
-        telemetry = WorkerTelemetry.start(TraceContext("run", point_id=5))
+        telemetry = WorkerTelemetry.start(sweep_context("run", 5), point_id=5)
         assert [event.kind for event in telemetry.events] == [EV_WORKER_START]
         assert telemetry.events[0].meta == {"point": 5, "attempt": 1}
 
