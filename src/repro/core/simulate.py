@@ -4,9 +4,10 @@ These drivers generate the real access traces of each phase, run them
 through the 3D-memory timing simulator and package the result as
 :class:`~repro.core.metrics.PhaseMetrics`.  Because the patterns are
 periodic in the device geometry, large problems are simulated on a
-representative slice (a few columns / block rows) and extrapolated --
-``sample_fraction`` controls how much is simulated exactly, and the test
-suite validates the extrapolation against full runs at small sizes.
+representative slice (a few columns, block rows or DDL block visits) and
+extrapolated -- ``max_requests`` caps how many requests are simulated
+exactly, only those requests are generated, and the test suite validates
+the extrapolation against full runs at small sizes.
 
 Every driver takes ``engine`` (``"exact"`` or ``"vector"``) and forwards
 it to :meth:`Memory3D.simulate`; the engines are stat-for-stat
@@ -128,10 +129,14 @@ def simulate_optimized_column_phase(
                 n_streams=streams,
                 whole_blocks=whole_blocks,
                 block_cols=range(streams),
+                # As with Memory3D.simulate(sample=...), a cap of zero or
+                # less simulates the whole round.
+                limit=max_requests if max_requests > 0 else None,
             )
-        sample = min(len(trace), max_requests)
-        with span_or_null(spans, "simulate", requests=sample):
-            stats = memory.simulate(trace, "per_vault", sample=sample, engine=engine)
+        with span_or_null(spans, "simulate", requests=len(trace)):
+            stats = memory.simulate(trace, "per_vault", engine=engine)
+        # Prefix -> one round -> every round.
+        stats = _sampled(stats, len(trace), round_elements)
         stats = _sampled(stats, round_elements, rounds_total * round_elements)
     # First column: a stream fetches its block column's first N elements
     # (w*h per block visit) at the vault beat.

@@ -672,10 +672,11 @@ def _price_compiled(
 ) -> None:
     """Walk a compiled trace, pricing runs in closed form where possible.
 
-    Runs whose stride pins every request to one bank (or single-request
-    runs) go through :meth:`_Engine.price_run`; maximal stretches of
-    everything else are expanded and batched through the array scan.
-    The carried state makes the interleaving exact.
+    Runs whose stride pins every request to one bank go through
+    :meth:`_Engine.price_run`; maximal stretches of everything else are
+    expanded and batched through the array scan.  Single-request runs
+    ride with their neighbours.  The carried state makes the
+    interleaving exact.
     """
     from repro.trace.compile import expand_runs
 
@@ -698,7 +699,15 @@ def _price_compiled(
     bank_stride = cfg.row_bytes << (
         mapping._vault_bits + mapping._bank_bits
     )
-    closed = (counts == 1) | (steps % bank_stride == 0)
+    closed = steps % bank_stride == 0
+    # A single-request run prices exactly either way, so it joins the
+    # kind of the next multi-request run (the previous one at the end):
+    # the head request compile_trace splits off every block visit then
+    # stays in its visit's array stretch instead of cutting it in two.
+    multi = np.flatnonzero(counts > 1)
+    if multi.size:
+        nearest = np.searchsorted(multi, np.arange(len(runs)))
+        closed = closed[multi[np.minimum(nearest, multi.size - 1)]]
 
     # Maximal stretches of same-kind runs, walked in order.
     stretch_starts = np.flatnonzero(_changes(closed))

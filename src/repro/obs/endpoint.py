@@ -4,10 +4,13 @@
 and :class:`~repro.serve.app.PlanServer` (``repro serve``) are both an
 :class:`EndpointServer`.  Each supplies only its route table -- a map
 from ``(method, path)`` to a callable that answers through the
-:class:`EndpointHandler` it is given -- and this module owns the rest:
-port validation, bind, the daemon serving thread, idempotent
-``close()``, context-manager use, JSON/byte replies and routing of
-``http.server`` chatter into the structured logger.
+:class:`~repro.obs.handler.EndpointHandler` it is given -- and this
+module owns the rest: port validation, bind, the daemon serving thread,
+idempotent ``close()`` and context-manager use.  The handler does
+JSON/byte replies and routes ``http.server`` chatter into the
+structured logger; it and ``http.server`` load only when the first
+server is constructed, so processes that never serve (sweeps) do not
+pay for them.
 
 Routing uses the path with its query string split off, for every
 method, so ``GET /metrics?x=1`` reaches ``/metrics``.  An unknown GET
@@ -17,96 +20,18 @@ routes nothing for answers 501 like a bare ``http.server`` handler.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections.abc import Callable
-from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
-from urllib.parse import urlsplit
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.obs.logging import get_logger
 
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.obs.handler import EndpointHandler
+
 #: One endpoint: answers a request through the handler it is given.
 Route = Callable[["EndpointHandler"], None]
-
-
-class EndpointHandler(BaseHTTPRequestHandler):
-    """Dispatches each request to its :class:`EndpointServer`'s routes."""
-
-    #: Set by :class:`EndpointServer` on the server object.
-    server: Any
-    #: The raw query string of the current request (``""`` if none).
-    query = ""
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        """Route one GET request."""
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        """Route one POST request."""
-        self._dispatch("POST")
-
-    def _dispatch(self, method: str) -> None:
-        endpoint: EndpointServer = self.server.endpoint
-        split = urlsplit(self.path)
-        self.query = split.query
-        route = endpoint.routes.get((method, split.path))
-        if route is not None:
-            route(self)
-        elif all(routed != method for routed, _ in endpoint.routes):
-            self.send_error(
-                HTTPStatus.NOT_IMPLEMENTED, f"Unsupported method ({method!r})"
-            )
-        else:
-            body: dict[str, Any] = {"error": f"unknown path {split.path!r}"}
-            if method == "GET":
-                body["endpoints"] = [
-                    path if routed == "GET" else f"{routed} {path}"
-                    for routed, path in endpoint.routes
-                ]
-            self.send_json(body, code=404)
-
-    def send_json(
-        self,
-        payload: dict[str, Any],
-        code: int = 200,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        """Reply with ``payload`` as sorted-key JSON."""
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_body(
-            code, "application/json; charset=utf-8", body, headers=headers
-        )
-
-    def send_body(
-        self,
-        code: int,
-        content_type: str,
-        body: bytes,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        """Reply with raw ``body`` bytes plus any extra ``headers``."""
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def version_string(self) -> str:
-        """The ``Server`` header: the owning server's version tag."""
-        return f"{self.server.endpoint.server_version} {self.sys_version}"
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Route http.server chatter into the structured logger."""
-        get_logger(self.server.endpoint.log_name).debug(
-            "http request",
-            request=format % args,
-            client=self.client_address[0],
-        )
 
 
 class EndpointServer:
@@ -137,6 +62,12 @@ class EndpointServer:
         if port < 0 or port > 65535:
             raise self.error(f"invalid {self.role} port {port}")
         self.routes = routes
+        # Deferred: http.server (with http.client, ssl and email) loads
+        # only in processes that serve.
+        from http.server import ThreadingHTTPServer
+
+        from repro.obs.handler import EndpointHandler
+
         try:
             self._server = ThreadingHTTPServer((host, port), EndpointHandler)
         except OSError as exc:

@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qs
 
 from repro.errors import ReproError
-from repro.obs.endpoint import EndpointHandler, EndpointServer
+from repro.obs.endpoint import EndpointServer
 from repro.obs.histogram import (
     POINT_DURATION_BOUNDS,
     observe_latency,
@@ -49,6 +49,9 @@ from repro.obs.histogram import (
 from repro.obs.logging import RingBufferSink, global_ring
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.openmetrics import render_openmetrics
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.obs.handler import EndpointHandler
 
 #: Schema tag stamped into every ``/status`` document (v2 added the
 #: ``latency`` summary section).

@@ -36,13 +36,16 @@ from __future__ import annotations
 import json
 import signal
 import threading
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.obs.endpoint import EndpointHandler, EndpointServer
+from repro.obs.endpoint import EndpointServer
 from repro.obs.monitor import OPENMETRICS_CONTENT_TYPE
 from repro.obs.openmetrics import render_openmetrics
 from repro.serve.schemas import ServeError, error_envelope
 from repro.serve.service import PlanService
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.obs.handler import EndpointHandler
 
 #: Maximum accepted request body, bytes (a plan request is tiny).
 MAX_BODY_BYTES = 1 << 20

@@ -25,6 +25,7 @@ and ``docs/sweep.md``.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures import ThreadPoolExecutor
@@ -165,6 +166,19 @@ def _record_point_metrics(registry: MetricsRegistry, result: dict[str, Any]) -> 
         _UTILIZATION_BOUNDS,
         help="per-point memory bandwidth as % of peak",
     ).observe(100.0 * result["memory_utilization"])
+
+
+def _shared_strings(result: dict[str, Any]) -> dict[str, Any]:
+    """``result`` with its keys and string values interned.
+
+    A result unpickled from a worker or read from the cache carries its
+    own copy of every key; a sweep holds every result until it ends, so
+    sharing them halves the memory each finished point costs.
+    """
+    return {
+        sys.intern(key): sys.intern(value) if isinstance(value, str) else value
+        for key, value in result.items()
+    }
 
 
 def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
@@ -529,6 +543,7 @@ def run_sweep(
             key = cache.key_for(payload)
             hit = cache.get(key)
             if hit is not None:
+                hit = _shared_strings(hit)
                 results[index] = hit
                 completed[index] = hit
                 cached += 1
@@ -580,8 +595,9 @@ def run_sweep(
                 if entry["status"] == "ok":
                     outcome = entry["outcome"]
                     index = outcome["index"]
-                    results[index] = outcome["result"]
-                    completed[index] = outcome["result"]
+                    result = _shared_strings(outcome["result"])
+                    results[index] = result
+                    completed[index] = result
                     outcomes_by_index[index] = outcome
                     simulated += 1
                     worker_id: int | None = None
@@ -613,7 +629,7 @@ def run_sweep(
                                 "config": task["config"],
                                 "max_requests": task["max_requests"],
                             },
-                            outcome["result"],
+                            result,
                         )
                 else:
                     failure = entry["failure"]

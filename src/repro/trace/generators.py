@@ -105,17 +105,16 @@ def block_write_trace(
     memory-row burst, and consecutive blocks land in consecutive vaults.
     """
     band = block_rows if block_rows is not None else range(layout.n_block_rows)
-    block_bytes = layout.block_elements * ELEMENT_BYTES
-    offsets = np.arange(layout.block_elements, dtype=np.int64) * ELEMENT_BYTES
-    pieces = []
-    for block_r in band:
-        for block_c in range(layout.blocks_per_row_band):
-            base = layout.block_base_address(block_r, block_c)
-            pieces.append(base + offsets)
-    addresses = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-    trace = TraceArray(addresses, is_write=True)
-    _check_block_alignment(addresses, block_bytes)
-    return trace
+    block_r = np.fromiter(band, dtype=np.int64)
+    if block_r.size:
+        # Range checks (LayoutError) for the lowest and highest block row.
+        layout.block_index(int(block_r.min()), 0)
+        layout.block_index(int(block_r.max()), 0)
+    block_c = np.arange(layout.blocks_per_row_band, dtype=np.int64)
+    blocks = (block_r[:, None] * layout.blocks_per_row_band + block_c).ravel()
+    addresses = _visit_bursts(layout, blocks, 0, layout.block_elements)
+    _check_block_alignment(addresses, layout.block_elements * ELEMENT_BYTES)
+    return TraceArray(addresses, is_write=True)
 
 
 def block_column_read_trace(
@@ -123,6 +122,7 @@ def block_column_read_trace(
     n_streams: int,
     whole_blocks: bool = True,
     block_cols: range | None = None,
+    limit: int | None = None,
 ) -> TraceArray:
     """Phase-2 reads under the DDL.
 
@@ -140,60 +140,55 @@ def block_column_read_trace(
 
     The returned trace interleaves the streams round-robin at visit
     granularity, matching how the per-vault controllers see concurrent
-    queues; simulate it with the ``per_vault`` discipline.
+    queues; simulate it with the ``per_vault`` discipline.  ``limit``
+    returns exactly the first ``limit`` requests of that trace (all of
+    it when ``None`` or larger), and only those are ever built: the
+    addresses are computed in closed form from the visit index.
     """
     if n_streams <= 0:
         raise TraceError(f"n_streams must be positive, got {n_streams}")
+    if limit is not None and limit < 0:
+        raise TraceError(f"limit must be non-negative, got {limit}")
     cols = block_cols if block_cols is not None else range(layout.blocks_per_row_band)
-    cols = list(cols)
-    if not cols:
+    stream_cols = np.array(list(cols)[:n_streams], dtype=np.int64)
+    if not stream_cols.size:
         return TraceArray(np.empty(0, dtype=np.int64))
+    for block_c in stream_cols.tolist():
+        layout.block_index(0, block_c)  # LayoutError when out of range
 
-    height = layout.height
-    per_visit = layout.block_elements if whole_blocks else height
-    offsets = np.arange(per_visit, dtype=np.int64) * ELEMENT_BYTES
-
-    stream_traces: list[np.ndarray] = []
-    for stream, block_c in enumerate(cols):
-        if stream >= n_streams:
-            break
-        pieces = []
-        if whole_blocks:
-            for block_r in range(layout.n_block_rows):
-                base = layout.block_base_address(block_r, block_c)
-                pieces.append(base + offsets)
-        else:
-            # One matrix column at a time: walk the whole block column for
-            # local column 0, then for local column 1, and so on.  Interior
-            # storage is column-major, so a column slice is one burst.
-            for local_col in range(layout.width):
-                for block_r in range(layout.n_block_rows):
-                    base = layout.block_base_address(block_r, block_c)
-                    start = base + local_col * height * ELEMENT_BYTES
-                    pieces.append(start + offsets)
-        stream_traces.append(np.concatenate(pieces))
-
-    interleaved = _interleave(stream_traces, per_visit)
-    return TraceArray(interleaved)
+    per_visit = layout.block_elements if whole_blocks else layout.height
+    visits_per_stream = layout.n_block_rows * (1 if whole_blocks else layout.width)
+    total = len(stream_cols) * visits_per_stream * per_visit
+    n = total if limit is None else min(limit, total)
+    # Global visit g is stream g % S's visit g // S (streams are equal
+    # length).  A stream walks its block column top to bottom once per
+    # local column -- once in all when visits fetch whole blocks.
+    visit_of, stream_of = np.divmod(
+        np.arange(-(-n // per_visit), dtype=np.int64), stream_cols.size
+    )
+    local_col, block_r = np.divmod(visit_of, layout.n_block_rows)
+    blocks = block_r * layout.blocks_per_row_band + stream_cols[stream_of]
+    addresses = _visit_bursts(layout, blocks, local_col, per_visit)[:n]
+    return TraceArray(addresses)
 
 
-def _interleave(streams: list[np.ndarray], burst: int) -> np.ndarray:
-    """Round-robin merge of per-stream address arrays in bursts."""
-    if len(streams) == 1:
-        return streams[0]
-    chunks: list[np.ndarray] = []
-    cursors = [0] * len(streams)
-    remaining = sum(s.size for s in streams)
-    while remaining:
-        for idx, stream in enumerate(streams):
-            cursor = cursors[idx]
-            if cursor >= stream.size:
-                continue
-            end = min(cursor + burst, stream.size)
-            chunks.append(stream[cursor:end])
-            cursors[idx] = end
-            remaining -= end - cursor
-    return np.concatenate(chunks)
+def _visit_bursts(
+    layout: BlockDDLLayout,
+    blocks: np.ndarray,
+    local_cols: np.ndarray | int,
+    burst: int,
+) -> np.ndarray:
+    """``burst`` consecutive addresses per visit, visits in order.
+
+    A visit starts at local column ``local_cols[i]`` of block
+    ``blocks[i]``; interiors are column-major, so a column slice (or the
+    whole block, from local column 0) is one contiguous burst.
+    """
+    starts = layout.base + (
+        blocks * layout.block_elements + local_cols * layout.height
+    ) * ELEMENT_BYTES
+    offsets = np.arange(burst, dtype=np.int64) * ELEMENT_BYTES
+    return (starts[:, None] + offsets).ravel()
 
 
 def _check_block_alignment(addresses: np.ndarray, block_bytes: int) -> None:

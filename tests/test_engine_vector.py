@@ -15,8 +15,14 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.faults.plan import builtin_fault_plans
-from repro.layouts import BlockDDLLayout, ColumnMajorLayout, RowMajorLayout
+from repro.layouts import (
+    BlockDDLLayout,
+    ColumnMajorLayout,
+    RowMajorLayout,
+    optimal_block_geometry,
+)
 from repro.memory3d import Memory3D, Memory3DConfig, pact15_hmc_config
+from repro.memory3d import vector as vector_engine
 from repro.memory3d.config import (
     RefreshParameters,
     hmc_gen2_config,
@@ -126,6 +132,52 @@ class TestEquivalence:
             trace, tags, engine="vector"
         )
         assert exact == vector
+
+
+class TestArrayStretches:
+    """How a compiled trace splits between closed-form runs and array scans.
+
+    ``compile_trace`` cuts a single-request run at every stride break, so
+    each block visit of a DDL read starts with one; those runs ride with
+    their neighbours instead of cutting the scan into per-visit pieces.
+    """
+
+    @pytest.fixture
+    def price_arrays_calls(self, monkeypatch):
+        calls = []
+        original = vector_engine._Engine.price_arrays
+
+        def counting(engine, *args, **kwargs):
+            calls.append(len(args[0]))
+            return original(engine, *args, **kwargs)
+
+        monkeypatch.setattr(vector_engine._Engine, "price_arrays", counting)
+        return calls
+
+    def test_ddl_block_read_is_one_array_stretch(self, price_arrays_calls):
+        config = pact15_hmc_config()
+        geometry = optimal_block_geometry(config, 4096)
+        layout = BlockDDLLayout(4096, 4096, geometry.width, geometry.height)
+        trace = block_column_read_trace(
+            layout, n_streams=16, block_cols=range(16), limit=65_536
+        )
+        compiled = compile_trace(trace)
+        assert (compiled.runs["count"] == 1).any()
+        mem = Memory3D(config)
+        stats = mem.simulate(compiled, "per_vault", engine="vector")
+        assert mem.last_engine == "vector"
+        assert price_arrays_calls == [65_536]
+        assert stats == Memory3D(config).simulate(trace, "per_vault")
+
+    def test_row_major_column_walk_stays_closed_form(self, price_arrays_calls):
+        compiled = compile_trace(
+            column_walk_trace(RowMajorLayout(4096, 4096), cols=range(16))
+        )
+        assert (compiled.runs["count"] == 1).any()
+        mem = Memory3D(pact15_hmc_config())
+        mem.simulate(compiled, "in_order", engine="vector")
+        assert mem.last_engine == "vector"
+        assert price_arrays_calls == []
 
 
 class TestFaultPlans:

@@ -1,11 +1,16 @@
 """The shared endpoint server, under both of its users: monitor and serve."""
 
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs.monitor import MonitorError, SweepMonitor, SweepStatus
 from repro.serve import PlanServer, PlanService, ServeError
 
@@ -115,3 +120,26 @@ class TestEndpointServers:
             assert code == 200
         finally:
             running.close()
+
+
+def test_sweep_imports_load_no_http_stack():
+    """Only serving loads http.server and the http.client, ssl and email
+    it pulls in; a sweep process keeps every result in memory, so its
+    peak RSS should not carry them."""
+    heavy = ("http.server", "http.client", "ssl", "email")
+    code = (
+        "import sys\n"
+        "import repro, repro.sweep\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import TraceError
+from repro.errors import LayoutError, TraceError
 from repro.layouts import (
     BlockDDLLayout,
     ColumnMajorLayout,
@@ -207,6 +207,118 @@ class TestBlockTraces:
 
     def test_empty_block_cols(self, layout):
         assert len(block_column_read_trace(layout, 4, block_cols=range(0))) == 0
+
+
+def _reference_block_write(layout, block_rows=None):
+    """Block-by-block loop the closed-form write trace must equal."""
+    band = block_rows if block_rows is not None else range(layout.n_block_rows)
+    offsets = np.arange(layout.block_elements, dtype=np.int64) * 8
+    pieces = [
+        layout.block_base_address(block_r, block_c) + offsets
+        for block_r in band
+        for block_c in range(layout.blocks_per_row_band)
+    ]
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+
+
+def _reference_block_read(layout, n_streams, whole_blocks, block_cols):
+    """Per-stream visit loop, merged round-robin one visit at a time."""
+    per_visit = layout.block_elements if whole_blocks else layout.height
+    offsets = np.arange(per_visit, dtype=np.int64) * 8
+    local_cols = range(1) if whole_blocks else range(layout.width)
+    streams = [
+        [
+            layout.block_base_address(block_r, block_c)
+            + local_col * layout.height * 8
+            + offsets
+            for local_col in local_cols
+            for block_r in range(layout.n_block_rows)
+        ]
+        for block_c in list(block_cols)[:n_streams]
+    ]
+    visits = [visit for step in zip(*streams) for visit in step]
+    return np.concatenate(visits) if visits else np.empty(0, dtype=np.int64)
+
+
+class TestClosedFormBlockTraces:
+    """The closed-form DDL generators against block-by-block loops."""
+
+    @pytest.fixture
+    def layout(self):
+        # 64 block columns of w=2, 4 block rows of h=16; base off zero.
+        return BlockDDLLayout(64, 128, width=2, height=16, base=1 << 20)
+
+    @pytest.mark.parametrize(
+        "block_rows", [None, range(1), range(1, 3), range(3, -1, -1), range(0)]
+    )
+    def test_block_write_matches_reference_loop(self, layout, block_rows):
+        trace = block_write_trace(layout, block_rows=block_rows)
+        expected = _reference_block_write(layout, block_rows)
+        assert np.array_equal(trace.addresses, expected)
+        assert trace.is_write.all()
+
+    def test_block_write_rejects_out_of_range_rows(self, layout):
+        with pytest.raises(LayoutError):
+            block_write_trace(layout, block_rows=range(3, 5))
+
+    @pytest.mark.parametrize("whole_blocks", [True, False])
+    @pytest.mark.parametrize("n_streams", [1, 2, 4, 16])
+    @pytest.mark.parametrize("first_col", [0, 5])
+    def test_unbounded_read_matches_reference_loop(
+        self, layout, whole_blocks, n_streams, first_col
+    ):
+        cols = range(first_col, first_col + n_streams)
+        trace = block_column_read_trace(
+            layout, n_streams, whole_blocks=whole_blocks, block_cols=cols
+        )
+        expected = _reference_block_read(layout, n_streams, whole_blocks, cols)
+        assert np.array_equal(trace.addresses, expected)
+
+    @pytest.mark.parametrize("whole_blocks", [True, False])
+    @pytest.mark.parametrize("n_streams", [1, 2, 4, 16])
+    @pytest.mark.parametrize(
+        "block_cols", [range(3, 40), range(1, 64, 3)], ids=["from-3", "stride-3"]
+    )
+    def test_limit_is_a_prefix_of_the_unbounded_trace(
+        self, layout, whole_blocks, n_streams, block_cols
+    ):
+        full = block_column_read_trace(
+            layout, n_streams, whole_blocks=whole_blocks, block_cols=block_cols
+        ).addresses
+        visit = layout.block_elements if whole_blocks else layout.height
+        total = len(full)
+        assert total == n_streams * layout.n_block_rows * layout.block_elements
+        for k in (1, visit - 1, visit + 1, total, total + visit + 3):
+            bounded = block_column_read_trace(
+                layout,
+                n_streams,
+                whole_blocks=whole_blocks,
+                block_cols=block_cols,
+                limit=k,
+            )
+            assert np.array_equal(bounded.addresses, full[:k]), k
+
+    def test_zero_limit_is_empty(self, layout):
+        assert len(block_column_read_trace(layout, 4, limit=0)) == 0
+
+    def test_rejects_negative_limit(self, layout):
+        with pytest.raises(TraceError):
+            block_column_read_trace(layout, 4, limit=-1)
+
+    @pytest.mark.parametrize("n_streams", [0, -3])
+    def test_rejects_non_positive_streams_with_limit(self, layout, n_streams):
+        with pytest.raises(TraceError):
+            block_column_read_trace(layout, n_streams, limit=16)
+
+    @pytest.mark.parametrize("whole_blocks", [True, False])
+    def test_out_of_range_block_column_raises(self, layout, whole_blocks):
+        with pytest.raises(LayoutError):
+            block_column_read_trace(
+                layout, 2, whole_blocks=whole_blocks, block_cols=range(63, 65),
+                limit=1,
+            )
+        with pytest.raises(LayoutError):
+            block_column_read_trace(layout, 1, block_cols=range(-1, 1))
 
 
 def generator_corpus() -> dict[str, TraceArray]:
