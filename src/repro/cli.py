@@ -143,39 +143,27 @@ def _instrumented_column_run(
     """Column-phase run of one layout with an event recorder attached.
 
     Returns ``(recorder, spans, stats, discipline, memory)`` for the
-    exactly-simulated (unsampled) request prefix, so recorded event
+    exactly-simulated (unextrapolated) request prefix, so recorded event
     counts agree with the returned :class:`AccessStats` counters.
     """
-    from repro.layouts import (
-        BlockDDLLayout,
-        RowMajorLayout,
-        optimal_block_geometry,
-    )
+    from repro.core.simulate import column_phase_trace
     from repro.memory3d import Memory3D
     from repro.obs import EventTrace, SpanTimeline
-    from repro.trace import block_column_read_trace, column_walk_trace
 
+    config = SystemConfig()
     recorder = EventTrace()
     spans = SpanTimeline()
-    memory = Memory3D(pact15_hmc_config(), recorder=recorder)
+    memory = Memory3D(config.memory, recorder=recorder)
     with spans.span("trace-run", size=n, layout=layout_kind):
         with spans.span("generate-trace"):
-            if layout_kind == "ddl":
-                geo = optimal_block_geometry(memory.config, n)
-                layout = BlockDDLLayout(n, n, geo.width, geo.height)
-                streams = min(16, layout.blocks_per_row_band)
-                trace = block_column_read_trace(
-                    layout, n_streams=streams, block_cols=range(streams)
-                )
-                discipline = discipline or "per_vault"
-            else:
-                cols = max(1, min(n, max_requests // n))
-                trace = column_walk_trace(RowMajorLayout(n, n), cols=range(cols))
-                discipline = discipline or "in_order"
-        run = trace.head(min(len(trace), max_requests))
-        with spans.span("simulate", requests=len(run), discipline=discipline):
-            stats = memory.simulate(run, discipline)
-    return recorder, spans, stats, discipline, memory
+            phase = column_phase_trace(
+                config, n, layout_kind, max_requests, discipline=discipline
+            )
+        with spans.span(
+            "simulate", requests=len(phase.prefix), discipline=phase.discipline
+        ):
+            stats = memory.simulate(phase.prefix, phase.discipline)
+    return recorder, spans, stats, phase.discipline, memory
 
 
 def _column_phase_metrics(n: int, max_requests: int) -> str:
@@ -261,39 +249,14 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    from repro.energy import EnergyModel
-    from repro.layouts import (
-        BlockDDLLayout,
-        RowMajorLayout,
-        optimal_block_geometry,
-    )
-    from repro.memory3d import Memory3D
-    from repro.trace import block_column_read_trace, column_walk_trace
+    from repro.energy import column_energy_comparison
 
-    memory = Memory3D(pact15_hmc_config())
-    model = EnergyModel()
     for n in args.sizes:
-        geo = optimal_block_geometry(memory.config, n)
-        cols = 2 * geo.width
-        base_stats = memory.simulate(
-            column_walk_trace(RowMajorLayout(n, n), cols=range(cols)),
-            "in_order",
-            sample=args.max_requests,
-        )
-        layout = BlockDDLLayout(n, n, geo.width, geo.height)
-        ddl_stats = memory.simulate(
-            block_column_read_trace(layout, n_streams=2, block_cols=range(2)),
-            "per_vault",
-            sample=args.max_requests,
-        )
-        base = model.memory_energy(base_stats)
-        ddl = model.memory_energy(ddl_stats) + model.reorganization_energy(
-            2 * layout.n_block_rows * layout.block_elements
-        )
-        print(f"N={n}, column phase over {cols} columns:")
-        print(f"  baseline: {base.summary()}")
-        print(f"  DDL     : {ddl.summary()}")
-        print(f"  ratio   : {base.total_nj / ddl.total_nj:.1f}x")
+        energy = column_energy_comparison(SystemConfig(), n, args.max_requests)
+        print(f"N={n}, column phase over {energy.columns} columns:")
+        print(f"  baseline: {energy.baseline.summary()}")
+        print(f"  DDL     : {energy.ddl.summary()}")
+        print(f"  ratio   : {energy.ratio:.1f}x")
         print()
     return 0
 
@@ -314,38 +277,33 @@ def _cmd_fft3d(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    from repro.layouts import (
-        BlockDDLLayout,
-        RowMajorLayout,
-        optimal_block_geometry,
-    )
+    from repro.core.simulate import phase_trace
+    from repro.layouts import BlockDDLLayout, RowMajorLayout
     from repro.memory3d import Memory3D
-    from repro.trace import block_column_read_trace, column_walk_trace
     from repro.viz import sparkline
 
-    memory = Memory3D(pact15_hmc_config())
-    peak = memory.config.peak_bandwidth
+    config = SystemConfig()
+    memory = Memory3D(config.memory)
+    peak = config.memory.peak_bandwidth
     for n in args.sizes:
-        base_trace = column_walk_trace(RowMajorLayout(n, n), cols=range(4))
-        base = memory.bandwidth_timeline(
-            base_trace, "in_order", bucket_ns=args.bucket_ns,
-            sample=args.max_requests,
-        )
-        geo = optimal_block_geometry(memory.config, n)
-        layout = BlockDDLLayout(n, n, geo.width, geo.height)
-        opt_trace = block_column_read_trace(
-            layout, n_streams=16, block_cols=range(16)
-        )
-        opt = memory.bandwidth_timeline(
-            opt_trace, "per_vault", bucket_ns=args.bucket_ns,
-            sample=args.max_requests,
-        )
+        geo = optimal_block_geometry(config.memory, n)
+        phases = {
+            "baseline ": phase_trace(
+                RowMajorLayout(n, n), "column-walk", args.max_requests, units=4
+            ),
+            "optimized": phase_trace(
+                BlockDDLLayout(n, n, geo.width, geo.height), "block-reads",
+                args.max_requests, streams=config.column_streams,
+            ),
+        }
         print(f"N={n} column-phase bandwidth over time "
               f"({args.bucket_ns:.0f} ns buckets, % of peak):")
-        print(f"  baseline : {sparkline((base / peak).tolist(), bounds=(0, 1))} "
-              f"(mean {100 * base.mean() / peak:.1f}%)")
-        print(f"  optimized: {sparkline((opt / peak).tolist(), bounds=(0, 1))} "
-              f"(mean {100 * opt.mean() / peak:.1f}%)")
+        for label, phase in phases.items():
+            rates = memory.bandwidth_timeline(
+                phase.prefix, phase.discipline, bucket_ns=args.bucket_ns
+            )
+            print(f"  {label}: {sparkline((rates / peak).tolist(), bounds=(0, 1))} "
+                  f"(mean {100 * rates.mean() / peak:.1f}%)")
     return 0
 
 

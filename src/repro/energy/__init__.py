@@ -16,11 +16,18 @@ reproduced quantitatively (``benchmarks/bench_energy.py``).
 """
 
 from repro.energy.params import EnergyParameters, pact15_energy_params
-from repro.energy.model import EnergyBreakdown, EnergyModel
+from repro.energy.model import (
+    ColumnEnergyComparison,
+    EnergyBreakdown,
+    EnergyModel,
+    column_energy_comparison,
+)
 
 __all__ = [
+    "ColumnEnergyComparison",
     "EnergyBreakdown",
     "EnergyModel",
+    "column_energy_comparison",
     "EnergyParameters",
     "pact15_energy_params",
 ]

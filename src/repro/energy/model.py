@@ -16,9 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.config import SystemConfig
+from repro.core.simulate import phase_trace
 from repro.energy.params import EnergyParameters, pact15_energy_params
 from repro.errors import SimulationError
 from repro.fft.kernel1d import KernelHardwareModel
+from repro.layouts import BlockDDLLayout, RowMajorLayout, optimal_block_geometry
+from repro.memory3d.memory import Memory3D
 from repro.memory3d.stats import AccessStats
 from repro.units import ELEMENT_BYTES
 
@@ -141,3 +145,50 @@ class EnergyModel:
         total = total + self.kernel_energy(hardware, transforms)
         total = total + self.reorganization_energy(staged_elements)
         return total
+
+
+@dataclass(frozen=True)
+class ColumnEnergyComparison:
+    """Baseline vs DDL column-phase energy over the same ``columns``."""
+
+    columns: int
+    baseline_stats: AccessStats
+    ddl_stats: AccessStats
+    baseline: EnergyBreakdown
+    ddl: EnergyBreakdown
+
+    @property
+    def ratio(self) -> float:
+        """How many times the DDL's energy the baseline spends."""
+        return self.baseline.total_nj / self.ddl.total_nj
+
+
+def column_energy_comparison(
+    config: SystemConfig, n: int, max_requests: int
+) -> ColumnEnergyComparison:
+    """Column-phase energy of the baseline and the DDL over ``2 * w`` columns.
+
+    The baseline walks the columns row-major; the DDL reads them as two
+    block-column streams and also pays for reorganizing them on chip.
+    ``repro energy`` and the reproduction report both render this.
+    """
+    geometry = optimal_block_geometry(config.memory, n)
+    columns = 2 * geometry.width
+    memory = Memory3D(config.memory)
+    baseline_stats = phase_trace(
+        RowMajorLayout(n, n), "column-walk", max_requests, units=columns
+    ).price(memory)
+    ddl_phase = phase_trace(
+        BlockDDLLayout(n, n, geometry.width, geometry.height),
+        "block-reads", max_requests, streams=2,
+    )
+    ddl_stats = ddl_phase.price(memory)
+    model = EnergyModel()
+    return ColumnEnergyComparison(
+        columns=columns,
+        baseline_stats=baseline_stats,
+        ddl_stats=ddl_stats,
+        baseline=model.memory_energy(baseline_stats),
+        ddl=model.memory_energy(ddl_stats)
+        + model.reorganization_energy(ddl_phase.extent),
+    )

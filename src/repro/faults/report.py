@@ -22,17 +22,10 @@ from collections.abc import Mapping
 from typing import Any
 
 from repro.core.config import SystemConfig
+from repro.core.simulate import column_phase_trace
 from repro.faults.plan import FaultPlan, builtin_fault_plans
-from repro.layouts import (
-    BlockDDLLayout,
-    ColumnMajorLayout,
-    RowMajorLayout,
-    optimal_block_geometry,
-)
 from repro.memory3d.memory import Memory3D
 from repro.memory3d.stats import AccessStats
-from repro.trace.generators import block_column_read_trace, column_walk_trace
-from repro.trace.request import TraceArray
 
 #: The layouts a degradation report compares, in row order.
 REPORT_LAYOUTS = ("row-major", "column-major", "block-ddl")
@@ -46,35 +39,9 @@ DEFAULT_N = 512
 DEFAULT_MAX_REQUESTS = 32_768
 
 
-def _column_phase_trace(
-    config: SystemConfig, n: int, layout: str, max_requests: int
-) -> tuple[TraceArray, str]:
-    """The column-phase access trace and discipline for one layout."""
-    if layout == "row-major":
-        cols = max(1, min(n, max_requests // n))
-        return (
-            column_walk_trace(RowMajorLayout(n, n), cols=range(cols)),
-            "in_order",
-        )
-    if layout == "column-major":
-        cols = max(1, min(n, max_requests // n))
-        return (
-            column_walk_trace(ColumnMajorLayout(n, n), cols=range(cols)),
-            "in_order",
-        )
-    if layout == "block-ddl":
-        geometry = optimal_block_geometry(config.memory, n)
-        block = BlockDDLLayout(n, n, geometry.width, geometry.height)
-        streams = min(config.column_streams, block.blocks_per_row_band)
-        return (
-            block_column_read_trace(
-                block, n_streams=streams, block_cols=range(streams)
-            ),
-            "per_vault",
-        )
-    raise ValueError(
-        f"unknown report layout {layout!r}; expected one of {REPORT_LAYOUTS}"
-    )
+def _core_name(layout: str) -> str:
+    """The core.simulate name of a report layout."""
+    return "ddl" if layout == "block-ddl" else layout
 
 
 def column_phase_stats(
@@ -89,13 +56,11 @@ def column_phase_stats(
     Runs the same trace shape the reproduction report uses (stride walks
     for the flat layouts, parallel block-column streams for the DDL) on
     a fresh :class:`~repro.memory3d.memory.Memory3D`, capped at
-    ``max_requests`` simulated accesses.
+    ``max_requests`` simulated accesses.  An unknown layout raises
+    :class:`~repro.errors.SimulationError`.
     """
-    trace, discipline = _column_phase_trace(config, n, layout, max_requests)
-    memory = Memory3D(config.memory)
-    return memory.simulate(
-        trace, discipline, sample=max_requests, fault_plan=fault_plan
-    )
+    phase = column_phase_trace(config, n, _core_name(layout), max_requests)
+    return phase.price(Memory3D(config.memory), fault_plan=fault_plan)
 
 
 def degradation_report(
@@ -120,14 +85,12 @@ def degradation_report(
     plans = dict(plans) if plans is not None else builtin_fault_plans(seed)
     layouts: dict[str, Any] = {}
     for layout in REPORT_LAYOUTS:
-        trace, discipline = _column_phase_trace(config, n, layout, max_requests)
+        phase = column_phase_trace(config, n, _core_name(layout), max_requests)
         memory = Memory3D(config.memory)
-        healthy = memory.simulate(trace, discipline, sample=max_requests)
+        healthy = phase.price(memory)
         cells: dict[str, Any] = {}
         for name, plan in plans.items():
-            faulted = memory.simulate(
-                trace, discipline, sample=max_requests, fault_plan=plan
-            )
+            faulted = phase.price(memory, fault_plan=plan)
             retained = (
                 faulted.bandwidth_gbps / healthy.bandwidth_gbps
                 if healthy.bandwidth_gbps > 0 else 0.0
@@ -138,7 +101,7 @@ def degradation_report(
                 "faults": memory.last_fault_summary,
             }
         layouts[layout] = {
-            "discipline": discipline,
+            "discipline": phase.discipline,
             "healthy_gbps": healthy.bandwidth_gbps,
             "plans": cells,
         }

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.simulate import PhaseTrace, phase_trace
 from repro.errors import ConfigError
 from repro.framework.candidates import LayoutCandidate, candidate_layouts
 from repro.framework.spec import AccessPattern, KernelSpec, PhaseSpec
@@ -23,14 +24,7 @@ from repro.layouts import BlockDDLLayout, Layout
 from repro.memory3d.config import Memory3DConfig
 from repro.memory3d.memory import Memory3D
 from repro.obs.spans import SpanTimeline, span_or_null
-from repro.trace.generators import (
-    block_column_read_trace,
-    block_write_trace,
-    column_walk_trace,
-    row_walk_trace,
-    tiled_walk_trace,
-)
-from repro.trace.request import TraceArray
+from repro.trace.generators import tiled_walk_trace
 from repro.units import ELEMENT_BYTES
 
 #: Default cap on exactly-simulated requests per (phase, candidate).
@@ -164,10 +158,7 @@ class LayoutPlanner:
         total_time_s = 0.0
         utils: dict[str, float] = {}
         for phase in phases:
-            trace, discipline = self._phase_trace(layout, phase)
-            stats = self.memory.simulate(
-                trace, discipline, sample=self.sample_requests
-            )
+            stats = self._phase_trace(layout, phase).price(self.memory)
             utilization = max(stats.utilization(peak), 1e-9)
             utils[phase.name] = min(utilization, 1.0)
             phase_bytes = phase.weight * layout.n_elements * ELEMENT_BYTES
@@ -175,47 +166,34 @@ class LayoutPlanner:
             total_time_s += phase_bytes / (utilization * peak)
         return total_bytes / total_time_s, utils
 
-    def _phase_trace(
-        self, layout: Layout, phase: PhaseSpec
-    ) -> tuple[TraceArray, str]:
-        """The real trace the phase would issue under the layout."""
+    def _phase_trace(self, layout: Layout, phase: PhaseSpec) -> PhaseTrace:
+        """The capped trace the phase would issue under the layout."""
         limit = self.sample_requests
         discipline = "per_vault" if phase.streams > 1 else "in_order"
-        n_rows, n_cols = layout.n_rows, layout.n_cols
+        blocked = isinstance(layout, BlockDDLLayout) and phase.block_reorder
         if phase.pattern is AccessPattern.ROW_WALK:
-            if isinstance(layout, BlockDDLLayout) and phase.block_reorder:
+            if blocked:
                 # The controlling unit stages h rows and emits whole blocks.
-                slab = layout.height * n_cols
-                slabs = max(1, min(layout.n_block_rows, limit // slab))
-                return (
-                    block_write_trace(layout, block_rows=range(slabs)),
-                    "per_vault",
-                )
-            rows = max(1, min(n_rows, limit // n_cols))
-            return (
-                row_walk_trace(layout, rows=range(rows), is_write=phase.is_write),
-                discipline,
+                return phase_trace(layout, "block-writes", limit)
+            return phase_trace(
+                layout, "row-walk", limit,
+                discipline=discipline, is_write=phase.is_write,
             )
         if phase.pattern is AccessPattern.COLUMN_WALK:
-            if isinstance(layout, BlockDDLLayout) and phase.block_reorder:
-                streams = min(phase.streams, layout.blocks_per_row_band)
-                return (
-                    block_column_read_trace(
-                        layout, n_streams=streams, block_cols=range(streams)
-                    ),
-                    "per_vault",
+            if blocked:
+                return phase_trace(
+                    layout, "block-reads", limit, streams=phase.streams
                 )
-            cols = max(1, min(n_cols, limit // n_rows))
-            return (
-                column_walk_trace(layout, cols=range(cols), is_write=phase.is_write),
-                discipline,
+            return phase_trace(
+                layout, "column-walk", limit,
+                discipline=discipline, is_write=phase.is_write,
             )
         if phase.pattern is AccessPattern.TILE_WALK:
-            tile_cols = min(self.config.row_elements, n_cols)
-            return tiled_walk_trace(layout, 1, tile_cols), discipline
+            tile_cols = min(self.config.row_elements, layout.n_cols)
+            trace = tiled_walk_trace(layout, 1, tile_cols)
+            return PhaseTrace(trace.head(limit), discipline, len(trace))
         if phase.pattern is AccessPattern.CUSTOM:
             trace = phase.walk.trace(layout)  # type: ignore[union-attr]
-            if len(trace) > limit:
-                trace = trace.head(limit)
-            return trace, discipline
+            prefix = trace.head(limit)
+            return PhaseTrace(prefix, discipline, len(prefix))
         raise ConfigError(f"unsupported access pattern {phase.pattern}")

@@ -23,19 +23,10 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.memory_image import MemoryImage
+from repro.core.simulate import column_phase_layout, phase_trace
 from repro.errors import ConfigError
-from repro.layouts import (
-    BlockDDLLayout,
-    ColumnMajorLayout,
-    Layout,
-    RowMajorLayout,
-    optimal_block_geometry,
-)
+from repro.layouts import BlockDDLLayout, Layout
 from repro.memory3d.memory import Memory3D
-from repro.trace.generators import (
-    block_column_read_trace,
-    column_walk_trace,
-)
 from repro.units import ELEMENT_BYTES, is_power_of_two
 
 #: B-matrix layout choices.
@@ -103,47 +94,35 @@ class MatMulArchitecture:
 
     # ---------------------------------------------------------------- layout
     def build_b_layout(self) -> Layout:
-        """Instantiate B's layout."""
-        n = self.n
-        if self.b_layout_name == "row-major":
-            return RowMajorLayout(n, n)
-        if self.b_layout_name == "column-major":
-            return ColumnMajorLayout(n, n)
-        geo = optimal_block_geometry(self.config.memory, n)
-        return BlockDDLLayout(n, n, geo.width, geo.height)
+        """Instantiate B's layout (``block-ddl`` applies Eq. (1))."""
+        name = "ddl" if self.b_layout_name == "block-ddl" else self.b_layout_name
+        return column_phase_layout(self.config, self.n, name)
 
     # ------------------------------------------------------------- evaluate
     def evaluate(self, max_requests: int = 65_536) -> MatMulMetrics:
         """Trace-driven performance of the whole multiplication."""
         n = self.n
-        memory = Memory3D(self.config.memory)
-        peak = self.config.peak_bandwidth
         b_layout = self.build_b_layout()
 
         # Representative B column-stream slice, priced by the simulator.
-        if isinstance(b_layout, BlockDDLLayout):
-            streams = min(self.config.column_streams, b_layout.blocks_per_row_band)
-            trace = block_column_read_trace(
-                b_layout, n_streams=streams, block_cols=range(streams)
-            )
-            discipline = "per_vault"
-        else:
-            cols = max(1, min(n, max_requests // n))
-            trace = column_walk_trace(b_layout, cols=range(cols))
-            discipline = (
-                "per_vault" if self.b_layout_name == "column-major" else "in_order"
-            )
-        stats = memory.simulate(trace, discipline, sample=max_requests)
-        b_rate = stats.bandwidth_bytes_per_s
+        blocked = isinstance(b_layout, BlockDDLLayout)
+        phase = phase_trace(
+            b_layout,
+            "block-reads" if blocked else "column-walk",
+            max_requests,
+            streams=self.config.column_streams,
+            discipline="in_order" if self.b_layout_name == "row-major" else "per_vault",
+        )
+        b_rate = phase.price(Memory3D(self.config.memory)).bandwidth_bytes_per_s
 
         panels = n // self.panel_rows
         b_traffic = panels * n * n * ELEMENT_BYTES          # B re-streamed per panel
         a_traffic = n * n * ELEMENT_BYTES                    # A read once
         c_traffic = n * n * ELEMENT_BYTES                    # C written once
         # A and C are unit-stride streams at device bandwidth.
-        stream_rate = min(peak, self.config.peak_bandwidth)
         memory_time_ns = (
-            b_traffic / b_rate + (a_traffic + c_traffic) / stream_rate
+            b_traffic / b_rate
+            + (a_traffic + c_traffic) / self.config.peak_bandwidth
         ) * 1e9
 
         complex_macs = n**3

@@ -29,16 +29,8 @@ from typing import Any
 
 from repro.core.config import SystemConfig
 from repro.faults.report import degradation_report, degradation_rows
-from repro.layouts import (
-    BlockDDLLayout,
-    RowMajorLayout,
-    optimal_block_geometry,
-)
-from repro.memory3d.memory import Memory3D
-from repro.obs.events import EventTrace
-from repro.obs.export import vault_utilization_table
 from repro.obs.telemetry import RunTelemetry
-from repro.trace.generators import block_column_read_trace, column_walk_trace
+from repro.reporting import column_vault_tables
 
 _CSS = """
 body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem auto;
@@ -272,39 +264,10 @@ def _bench_section(history: dict[str, list[dict]]) -> list[str]:
 def _vault_sections(
     config: SystemConfig, n: int, max_requests: int
 ) -> list[str]:
-    geometry = optimal_block_geometry(config.memory, n)
-    cols = 2 * geometry.width
-    recorder = EventTrace()
-    memory = Memory3D(config.memory, recorder=recorder)
-
-    base_trace = column_walk_trace(RowMajorLayout(n, n), cols=range(cols))
-    base_trace = base_trace.head(min(len(base_trace), max_requests))
-    base_stats = memory.simulate(base_trace, "in_order")
-    base_table = vault_utilization_table(
-        recorder, base_stats.elapsed_ns, config.memory
-    )
-
-    recorder.clear()
-    layout = BlockDDLLayout(n, n, geometry.width, geometry.height)
-    streams = min(config.column_streams, layout.blocks_per_row_band)
-    ddl_trace = block_column_read_trace(
-        layout, n_streams=streams, block_cols=range(streams)
-    )
-    ddl_trace = ddl_trace.head(min(len(ddl_trace), max_requests))
-    ddl_stats = memory.simulate(ddl_trace, "per_vault")
-    ddl_table = vault_utilization_table(
-        recorder, ddl_stats.elapsed_ns, config.memory
-    )
-
-    return [
-        f"<h2>Per-vault utilization &mdash; column phase (N={n})</h2>",
-        "<p>Baseline (row-major, in-order): every column access opens a "
-        "new row and the stream visits vaults one at a time.</p>",
-        markdown_table_html(base_table),
-        f"<p>Optimized (DDL, {streams} per-vault streams): block columns "
-        "keep rows open and spread load across vaults.</p>",
-        markdown_table_html(ddl_table),
-    ]
+    parts = [f"<h2>Per-vault utilization &mdash; column phase (N={n})</h2>"]
+    for caption, table in column_vault_tables(config, n, max_requests):
+        parts += [f"<p>{html.escape(caption)}</p>", markdown_table_html(table)]
+    return parts
 
 
 def _fault_section(

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from repro.core import AnalyticModel
 from repro.core.config import SystemConfig
-from repro.energy import EnergyModel
+from repro.core.simulate import phase_trace
+from repro.energy import column_energy_comparison
 from repro.faults import degradation_report, render_degradation
 from repro.layouts import BlockDDLLayout, RowMajorLayout, optimal_block_geometry
 from repro.memory3d import Memory3D
 from repro.obs import EventTrace, vault_utilization_table
 from repro.sweep import ResultCache, SweepGrid, run_sweep
-from repro.trace import block_column_read_trace, column_walk_trace
 from repro.viz import bar_chart, percentage
 
 #: Paper reference values for the report's delta columns.
@@ -40,6 +40,38 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def column_vault_tables(
+    config: SystemConfig, n: int, max_requests: int
+) -> list[tuple[str, str]]:
+    """Per-vault utilization of the baseline and DDL column phases.
+
+    ``(caption, markdown table)`` for the row-major walk over ``2 * w``
+    columns and for the DDL's block-column streams.  The reproduction
+    report and the HTML run report both render these.
+    """
+    geometry = optimal_block_geometry(config.memory, n)
+    layout = BlockDDLLayout(n, n, geometry.width, geometry.height)
+    streams = min(config.column_streams, layout.blocks_per_row_band)
+    runs = [
+        ("Baseline (row-major, in-order): every column access opens a new "
+         "row and the stream visits vaults one at a time.",
+         phase_trace(RowMajorLayout(n, n), "column-walk", max_requests,
+                     units=2 * geometry.width)),
+        (f"Optimized (DDL, {streams} per-vault streams): block columns "
+         "keep rows open and spread load across vaults.",
+         phase_trace(layout, "block-reads", max_requests, streams=streams)),
+    ]
+    recorder = EventTrace()
+    memory = Memory3D(config.memory, recorder=recorder)
+    tables = []
+    for caption, phase in runs:
+        recorder.clear()
+        stats = memory.simulate(phase.prefix, phase.discipline)
+        table = vault_utilization_table(recorder, stats.elapsed_ns, config.memory)
+        tables.append((caption, table))
+    return tables
+
+
 def reproduce_report(
     sizes: tuple[int, ...] = (2048, 4096, 8192),
     max_requests: int = 131_072,
@@ -56,8 +88,6 @@ def reproduce_report(
     """
     config = config or SystemConfig()
     model = AnalyticModel(config)
-    memory = Memory3D(config.memory)
-    peak = config.peak_bandwidth
     sections: list[str] = ["# Reproduction report", ""]
 
     # ------------------------------------------------------------ the device
@@ -140,67 +170,27 @@ def reproduce_report(
 
     # --------------------------------------------------------------- energy
     sections += [f"## Energy -- column phase (N={n_ab})", ""]
-    energy = EnergyModel()
-    cols = 2 * geo.width
-    base_stats = memory.simulate(
-        column_walk_trace(RowMajorLayout(n_ab, n_ab), cols=range(cols)),
-        "in_order", sample=max_requests,
-    )
-    layout = BlockDDLLayout(n_ab, n_ab, geo.width, geo.height)
-    ddl_stats = memory.simulate(
-        block_column_read_trace(layout, n_streams=2, block_cols=range(2)),
-        "per_vault", sample=max_requests,
-    )
-    base_e = energy.memory_energy(base_stats)
-    ddl_e = energy.memory_energy(ddl_stats) + energy.reorganization_energy(
-        2 * layout.n_block_rows * layout.block_elements
-    )
+    energy = column_energy_comparison(config, n_ab, max_requests)
     sections.append(_markdown_table(
         ["architecture", "total", "activation share", "activations"],
         [
-            ["baseline", f"{base_e.total_nj / 1e6:.3f} mJ",
-             percentage(base_e.activation_nj / base_e.total_nj),
-             f"{base_stats.row_activations:,}"],
-            ["optimized", f"{ddl_e.total_nj / 1e6:.3f} mJ",
-             percentage(ddl_e.activation_nj / ddl_e.total_nj),
-             f"{ddl_stats.row_activations:,}"],
+            [label, f"{e.total_nj / 1e6:.3f} mJ",
+             percentage(e.activation_nj / e.total_nj),
+             f"{stats.row_activations:,}"]
+            for label, e, stats in (
+                ("baseline", energy.baseline, energy.baseline_stats),
+                ("optimized", energy.ddl, energy.ddl_stats),
+            )
         ],
     ))
-    ratio = base_e.total_nj / ddl_e.total_nj
-    sections += ["", f"Energy ratio: **{ratio:.1f}x** in favour of the DDL.", ""]
+    sections += [
+        "", f"Energy ratio: **{energy.ratio:.1f}x** in favour of the DDL.", ""
+    ]
 
     # ------------------------------------------------- per-vault utilization
     sections += [f"## Per-vault utilization -- column phase (N={n_ab})", ""]
-    recorder = EventTrace()
-    instrumented = Memory3D(config.memory, recorder=recorder)
-    base_run = column_walk_trace(RowMajorLayout(n_ab, n_ab), cols=range(cols))
-    base_run = base_run.head(min(len(base_run), max_requests))
-    base_vault = instrumented.simulate(base_run, "in_order")
-    sections += [
-        "Baseline (row-major, in-order): every column access opens a new "
-        "row and the stream visits vaults one at a time.",
-        "",
-        vault_utilization_table(recorder, base_vault.elapsed_ns,
-                                config.memory),
-        "",
-    ]
-    recorder.clear()
-    ddl_run = block_column_read_trace(
-        layout,
-        n_streams=config.column_streams,
-        block_cols=range(min(config.column_streams,
-                             layout.blocks_per_row_band)),
-    )
-    ddl_run = ddl_run.head(min(len(ddl_run), max_requests))
-    ddl_vault = instrumented.simulate(ddl_run, "per_vault")
-    sections += [
-        f"Optimized (DDL, {config.column_streams} per-vault streams): "
-        "block columns keep rows open and spread load across vaults.",
-        "",
-        vault_utilization_table(recorder, ddl_vault.elapsed_ns,
-                                config.memory),
-        "",
-    ]
+    for caption, table in column_vault_tables(config, n_ab, max_requests):
+        sections += [caption, "", table, ""]
 
     # -------------------------------------------------- fault degradation
     faults = degradation_report(

@@ -202,6 +202,22 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "`events.row_hit`" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--size", "512"],
+            ["energy", "--sizes", "512"],
+            ["timeline", "--sizes", "512"],
+            ["simulate", "--sizes", "256"],
+            ["faults", "--size", "256"],
+        ],
+    )
+    def test_zero_request_cap_is_rejected(self, capsys, argv):
+        assert main([*argv, "--max-requests", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "max_requests must be positive" in captured.err
+        assert captured.out == ""
+
     def test_simulate_metrics_flag(self, capsys):
         assert main(
             ["simulate", "--sizes", "256", "--max-requests", "16384",

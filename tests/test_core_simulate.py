@@ -8,12 +8,17 @@ import pytest
 
 from repro.core import AnalyticModel
 from repro.core.simulate import (
+    phase_trace,
     simulate_baseline_column_phase,
+    simulate_column_phase,
     simulate_optimized_column_phase,
     simulate_row_phase,
 )
-from repro.errors import SimulationError
-from repro.layouts import BlockDDLLayout, optimal_block_geometry
+from repro.errors import ConfigError, SimulationError
+from repro.faults import builtin_fault_plans
+from repro.layouts import BlockDDLLayout, RowMajorLayout, optimal_block_geometry
+from repro.memory3d import Memory3D
+from repro.trace import block_column_read_trace
 
 
 @pytest.fixture
@@ -121,3 +126,76 @@ class TestRowPhase:
         phase = simulate_row_phase(system_config, 512)
         assert phase.stats is not None
         assert phase.stats.row_hit_rate > 0.9
+
+
+class TestPhaseTrace:
+    @pytest.mark.parametrize("layout", ["row-major", "ddl", "column-major"])
+    def test_column_phase_rejects_zero_cap(self, system_config, layout):
+        with pytest.raises(ConfigError, match="max_requests"):
+            simulate_column_phase(system_config, 256, layout, max_requests=0)
+
+    def test_row_phase_rejects_zero_cap(self, system_config):
+        with pytest.raises(ConfigError, match="max_requests"):
+            simulate_row_phase(system_config, 256, max_requests=0)
+        with pytest.raises(ConfigError, match="max_requests"):
+            simulate_row_phase(
+                system_config, 256, layout=ddl_layout(system_config, 256),
+                max_requests=-1,
+            )
+
+    @pytest.mark.parametrize(
+        "pattern", ["column-walk", "row-walk", "block-writes", "block-reads"]
+    )
+    def test_builder_rejects_non_positive_cap(self, system_config, pattern):
+        with pytest.raises(ConfigError):
+            phase_trace(ddl_layout(system_config, 256), pattern, 0)
+
+    def test_walk_prices_whole_columns(self):
+        capped = phase_trace(RowMajorLayout(256, 256), "column-walk", 1000)
+        assert len(capped.prefix) == capped.extent == 3 * 256
+        assert capped.discipline == "in_order"
+        whole = phase_trace(
+            RowMajorLayout(256, 256), "column-walk", 1000, units=256
+        )
+        assert len(whole.prefix) == 3 * 256
+        assert whole.extent == 256 * 256
+        tiny = phase_trace(RowMajorLayout(256, 256), "row-walk", 10)
+        assert len(tiny.prefix) == tiny.extent == 256
+
+    def test_block_reads_generate_only_the_prefix(self, system_config):
+        layout = ddl_layout(system_config, 512)
+        phase = phase_trace(layout, "block-reads", 1000, streams=64)
+        assert len(phase.prefix) == 1000
+        assert phase.extent == 64 * layout.n_block_rows * layout.block_elements
+        assert phase.discipline == "per_vault"
+        # Streams are clamped to the layout's block columns.
+        clamped = phase_trace(layout, "block-reads", 1000, streams=10_000)
+        assert clamped.extent == layout.n_elements
+
+    def test_block_patterns_need_a_ddl_layout(self):
+        with pytest.raises(SimulationError, match="block DDL"):
+            phase_trace(RowMajorLayout(64, 64), "block-reads", 4096)
+        with pytest.raises(SimulationError, match="unknown phase pattern"):
+            phase_trace(RowMajorLayout(64, 64), "diagonal", 4096)
+
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("cap", [4096, 16_384])
+    def test_prefix_pricing_matches_sampled_whole_round(
+        self, system_config, n, cap
+    ):
+        """Pricing the limit= prefix equals simulate(whole round, sample=)."""
+        layout = ddl_layout(system_config, n)
+        streams = system_config.column_streams
+        phase = phase_trace(layout, "block-reads", cap, streams=streams)
+        whole = block_column_read_trace(
+            layout, n_streams=streams, block_cols=range(streams)
+        )
+        plans = {"healthy": None, **builtin_fault_plans(0)}
+        for name, plan in plans.items():
+            ours, reference = Memory3D(system_config.memory), Memory3D(
+                system_config.memory
+            )
+            assert phase.price(ours, fault_plan=plan) == reference.simulate(
+                whole, phase.discipline, sample=cap, fault_plan=plan
+            ), name
+            assert ours.last_fault_summary == reference.last_fault_summary

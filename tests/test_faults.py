@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.errors import FaultError
+from repro.errors import FaultError, SimulationError
 from repro.faults import (
     ERR_CORRECTED,
     ERR_NONE,
@@ -395,6 +395,10 @@ class TestDegradationReport:
         assert stats.bandwidth_gbps == pytest.approx(
             report["layouts"]["row-major"]["healthy_gbps"]
         )
+
+    def test_column_phase_stats_unknown_layout_is_a_simulation_error(self):
+        with pytest.raises(SimulationError, match="unknown layout"):
+            column_phase_stats(SystemConfig(), 256, "diagonal", max_requests=SAMPLE)
 
     def test_custom_plan_mapping(self):
         plans = {"dead-vault": FaultPlan((VaultFailure((2,)),),

@@ -1,5 +1,6 @@
 """Meta-tests: the documentation and the code stay consistent."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -114,3 +115,54 @@ class TestMemoryFitValidation:
 
         for n in (2048, 4096, 8192):
             BaselineArchitecture(n)  # must not raise
+
+
+class TestPhaseTraceLayering:
+    """Phase traces are built for pricing in one place: core.simulate.
+
+    Only :func:`repro.core.simulate.phase_trace`, the ``repro.trace``
+    package that defines the generators and the ``repro`` facade that
+    re-exports them may import the phase generators.
+    ``repro.core.architecture`` is also allowed: its functional write
+    path stores data and prices nothing.
+    """
+
+    GENERATORS = {
+        "column_walk_trace",
+        "block_column_read_trace",
+        "row_walk_trace",
+        "block_write_trace",
+    }
+    ALLOWED = {"repro", "repro.core.simulate", "repro.core.architecture"}
+
+    def _importers(self) -> dict[str, list[str]]:
+        src = ROOT / "src"
+        importers: dict[str, list[str]] = {}
+        for path in sorted((src / "repro").rglob("*.py")):
+            parts = path.relative_to(src).with_suffix("").parts
+            module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                else:
+                    continue
+                for name in sorted(names & self.GENERATORS):
+                    importers.setdefault(module, []).append(
+                        f"{path.name}:{node.lineno} {name}"
+                    )
+        return importers
+
+    def test_only_the_builder_imports_phase_generators(self):
+        importers = self._importers()
+        assert "repro.core.simulate" in importers
+        offenders = {
+            module: uses
+            for module, uses in importers.items()
+            if module not in self.ALLOWED
+            and module != "repro.trace"
+            and not module.startswith("repro.trace.")
+        }
+        assert not offenders, f"build phase traces with phase_trace: {offenders}"
