@@ -9,7 +9,7 @@ report, the matmul model and the layout planner -- builds it with
 whole walk or round the prefix stands for.  :meth:`PhaseTrace.price`
 runs the prefix and extrapolates it to the extent in one step; the walk
 drivers pass the whole ``N x N`` phase as the extent, and the DDL driver
-scales its one round of block columns up to every round.  The patterns
+scales its one round of block columns up to the whole phase.  The patterns
 are periodic in the device geometry, and the test suite validates the
 extrapolation against full runs at small sizes.  The request cap must
 be positive: :func:`phase_trace` raises
@@ -288,7 +288,6 @@ def simulate_optimized_column_phase(
             f"layout covers {layout.n_rows}x{layout.n_cols}, expected {n}x{n}"
         )
     streams = min(config.column_streams, layout.blocks_per_row_band)
-    rounds = max(1, layout.blocks_per_row_band // streams)
     with span_or_null(spans, "column-phase/ddl", n=n, streams=streams):
         with span_or_null(spans, "generate-trace"):
             phase = phase_trace(
@@ -297,8 +296,9 @@ def simulate_optimized_column_phase(
             )
         with span_or_null(spans, "simulate", requests=len(phase.prefix)):
             stats = phase.price(Memory3D(config.memory), engine)
-        # One round of streams -> every round.
-        stats = _sampled(stats, phase.extent, rounds * phase.extent)
+        # One round of streams -> the whole phase, a partial last round
+        # included when the streams do not divide the block columns.
+        stats = _sampled(stats, phase.extent, n * n)
     # First column: a stream fetches its block column's first N elements
     # (w*h per block visit) at the vault beat.
     first_column_ns = n * layout.width * config.memory.timing.t_in_row

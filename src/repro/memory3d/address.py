@@ -120,9 +120,11 @@ class AddressMapping:
         column = addresses & self._offset_mask
         chunk = addresses >> self._offset_bits
         vault = chunk & self._vault_mask
-        bank = (chunk >> self._vault_bits) & self._bank_mask
         row = chunk >> (self._vault_bits + self._bank_bits)
-        return vault, bank, row, column
+        # The bank field is what is left of the chunk: reuse its buffer.
+        chunk >>= self._vault_bits
+        chunk &= self._bank_mask
+        return vault, chunk, row, column
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (

@@ -50,6 +50,10 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import SimulationError
+
+# Loaded with this module, not on the first vector run, so forked sweep
+# workers and serve children inherit it instead of importing it per fork.
+from repro.memory3d import vector
 from repro.memory3d.address import AddressMapping
 from repro.memory3d.config import Memory3DConfig
 from repro.memory3d.prepare import ERR_CORRECTED, NO_ACT, decode, service_tail
@@ -155,6 +159,18 @@ class Memory3D:
         #: Why a ``engine="vector"`` request fell back to the exact engine
         #: (``None`` when it did not).
         self.last_fallback_reason: str | None = None
+        self._last_steady_state: vector.SteadyState | None = None
+
+    @property
+    def last_steady_state(self) -> vector.SteadyState | None:
+        """What the vector engine shifted instead of priced in the last run.
+
+        A :class:`~repro.memory3d.vector.SteadyState` (period, blocks
+        priced, requests extrapolated) when steady-state pricing skipped
+        repeated blocks, ``None`` otherwise.  Reset by every simulation;
+        never part of a result.
+        """
+        return self._last_steady_state
 
     # ------------------------------------------------------------------ public
     def simulate(
@@ -190,6 +206,7 @@ class Memory3D:
         """
         trace = _check_trace(trace)
         _check_discipline(discipline)
+        self._last_steady_state = None
         total = len(trace)
         if total == 0:
             return AccessStats()
@@ -238,20 +255,20 @@ class Memory3D:
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
         self.last_fallback_reason = None
+        self._last_steady_state = None
         if engine == "vector":
-            from repro.memory3d import vector
-
             reason = vector.unsupported_reason(self.config, self.recorder, faults)
             if reason is None:
                 try:
-                    out = vector.simulate_vector(
+                    stats, completions, steady = vector.simulate_vector(
                         self, run, discipline, faults, record
                     )
                 except vector.VectorConvergenceError as exc:
                     reason = str(exc)
                 else:
                     self.last_engine = "vector"
-                    return out
+                    self._last_steady_state = steady
+                    return stats, completions
             self.last_fallback_reason = reason
         self.last_engine = "exact"
         return self._simulate_exact(_as_trace(run), discipline, faults, record)

@@ -49,7 +49,8 @@ def decode(
         remapped = np.asarray(faults.remap, dtype=vaults.dtype)[vaults]
         faults.remapped_requests = int((remapped != vaults).sum())
         vaults = remapped
-    gbank = vaults * memory.config.banks_per_vault + banks
+    gbank = vaults * memory.config.banks_per_vault
+    gbank += banks
     return vaults, banks, rows, gbank
 
 

@@ -70,7 +70,52 @@ trace run by run, pricing such uniform-bank runs in closed form and
 batching everything else through the array scan above, with the same
 carried state threaded through both paths -- so the result is still
 bit-identical to the exact engine.  Raw :class:`TraceArray` inputs are
-auto-compiled when they compress well (see :data:`AUTO_COMPILE_MIN`).
+auto-compiled when they compress well (see :data:`AUTO_COMPILE_MIN`);
+their array stretches are then sliced from the raw addresses, not
+re-expanded from the runs.
+
+Steady-state pricing
+--------------------
+
+Phase traces repeat: once a DDL column read or a column walk settles,
+every block visit costs the same (the paper's Eq. (1) argument).  An
+array stretch with no per-request service tails (no jitter or bit-error
+faults) and no arrival times, so that every step is a constant, is
+therefore priced one period at a time:
+
+1. Classify every request as a row hit or miss first; the
+   classification depends only on the addresses and the carried open
+   rows, never on timing.
+2. Cut the stretch into blocks of ``P`` requests.  Blocks ``b`` and
+   ``b+1`` *repeat* when their (global bank, hit) sequences are equal.
+   ``P`` is the power of two from :data:`MIN_PERIOD` up to a quarter of
+   the stretch that prices the fewest requests (counting a fixed cost
+   per relaxation call).
+3. After pricing block ``b`` of a repeating run, compare the carried
+   timing state -- ``bank_next_act``, ``last_act_a``, ``vault_ready``,
+   ``stream_ready`` -- before and after it.  If every entry the block
+   wrote moved by the same ``Δ > 0`` and no vault's ``last_act_bank``
+   changed, every later block of the run is block ``b`` shifted by
+   ``Δ``: its completions are ``x_b + jΔ``, its activations are block
+   ``b``'s, and the state advances by ``Δ`` per block.
+
+This is exact, not an approximation.  The constraints are max-plus:
+every lower bound is a state entry or an earlier beat plus a constant
+step, so adding ``Δ`` to every input adds ``Δ`` to every output.  A
+block reads exactly the entries it writes -- the banks it activates,
+the vaults it activates on, and the vaults it serves (``per_vault``) or
+the stream (``in_order``) -- so the next identical block sees block
+``b``'s input shifted by ``Δ``.  The one bound that is not state, the
+zero arrival time, never binds: each request is already bounded below
+by its vault or stream ready time, which is ``>= 0``.  ``busy_ps`` and
+the last completion are maxima, not inputs, and are folded in as such.
+
+A run whose state does not settle within :data:`MAX_TRIES` blocks, or a
+block that breaks the period (a column-group seam of a row-major walk,
+say), is priced as usual; shifting resumes at the next repeating run.
+:attr:`Memory3D.last_steady_state
+<repro.memory3d.memory.Memory3D.last_steady_state>` reports what was
+shifted.
 
 TSV return-link contention never constrains either discipline (the
 link's previous completion is always <= the stream/vault ready time), so
@@ -95,7 +140,8 @@ count, the pass budget or device geometry, never the trace itself.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
@@ -139,6 +185,36 @@ AUTO_COMPILE_MIN = 1 << 14
 #: Minimum requests-per-run, on average, for auto-compilation to pay:
 #: below this the per-run Python arithmetic would rival the array scan.
 AUTO_COMPILE_RATIO = 64
+
+#: Smallest steady-state period tried (requests).  Candidates are the
+#: powers of two from here up to a quarter of the segment (and at most
+#: :data:`BLOCK`), so a period always has at least four blocks to span.
+MIN_PERIOD = 256
+
+#: Blocks of one repeating run priced while waiting for the carried
+#: state to settle into a uniform shift, before the rest of the run is
+#: priced as usual.
+MAX_TRIES = 4
+
+#: Fixed cost of one block relaxation, in requests of scan work: the
+#: period choice weighs requests priced against calls made.
+CALL_COST = 1024
+
+
+@dataclass(frozen=True)
+class SteadyState:
+    """What steady-state pricing shifted instead of priced in one run.
+
+    ``period`` is the block size in requests (of the segment that
+    shifted the most, if several did), ``blocks_priced`` the blocks the
+    scan relaxed in the segments that shifted, and
+    ``requests_extrapolated`` the requests whose completions were
+    shifted copies of a priced block.
+    """
+
+    period: int
+    blocks_priced: int
+    requests_extrapolated: int
 
 
 class VectorConvergenceError(RuntimeError):
@@ -226,10 +302,85 @@ def _relax(
     return True
 
 
+def _steady_plan(
+    gbank: np.ndarray, hit: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """Pick the period that prices the fewest requests, or ``None``.
+
+    For each candidate period ``p`` the segment is cut into blocks of
+    ``p`` requests, and neighbouring blocks repeat when their
+    (global bank, hit) sequences are equal.  A run of ``L >= 3`` equal
+    blocks is expected to price two of them and shift the rest.  The
+    cost of a plan is the requests it prices plus :data:`CALL_COST` per
+    relaxation call; the plain scan is the plan to beat.  Returns
+    ``(period, first, last)`` with the first and last block of every
+    run worth shifting.  The search stops at the first period whose
+    blocks all repeat: any multiple of it would price more.
+    """
+    n = len(gbank)
+    key = gbank << 1
+    key |= hit
+    best = None
+    best_cost = n + CALL_COST * ((n + BLOCK - 1) // BLOCK)
+    for bits in range(MIN_PERIOD.bit_length() - 1, BLOCK.bit_length()):
+        p = 1 << bits
+        if 4 * p > n:
+            break
+        nb = n // p
+        same = (key[p : nb * p] == key[: (nb - 1) * p]).reshape(nb - 1, p).all(1)
+        edges = np.diff(same.astype(np.int8), prepend=0, append=0)
+        first = np.flatnonzero(edges == 1)
+        last = np.flatnonzero(edges == -1)
+        keep = last - first >= 2
+        first = first[keep]
+        last = last[keep]
+        cost = (
+            n
+            - p * int((last - first - 1).sum())
+            + CALL_COST * (2 * len(first) + 1)
+        )
+        if cost < best_cost:
+            best = (p, first, last)
+            best_cost = cost
+        if len(first) == 1 and first[0] == 0 and last[0] == nb - 1:
+            break  # one run spans the segment: longer periods price more
+    return best
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of ``keys`` in ``[0, bound)``.
+
+    Device ids fit in 8 or 16 bits, where numpy's stable sort is a
+    radix sort: about twice as fast as sorting the int64 originals.
+    """
+    if bound <= 1 << 8:
+        keys = keys.astype(np.uint8)
+    elif bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
 def _seg_ids(head: np.ndarray) -> np.ndarray | None:
     """Chain ids from head marks (``None`` when there is a single chain)."""
     seg = np.cumsum(head, dtype=np.int64) - 1
     return seg if int(seg[-1]) > 0 else None
+
+
+class _Segment(NamedTuple):
+    """One contiguous trace segment, decoded and classified for the scan.
+
+    ``add`` / ``arrivals`` are ``None`` for a constant ``t_in_row`` tail
+    and no arrival bound; ``base`` is the segment's global request index.
+    """
+
+    va: np.ndarray
+    ba: np.ndarray
+    gbank: np.ndarray
+    hit: np.ndarray
+    add: np.ndarray | None
+    min_add: int
+    arrivals: np.ndarray | None
+    base: int
 
 
 class _Engine:
@@ -272,6 +423,9 @@ class _Engine:
         self.last_completion = 0
         self.latency_sum = 0
         self.latency_max = 0
+        #: ``(period, blocks priced, requests shifted)`` per segment the
+        #: steady-state path shortened.
+        self.steady: list[tuple[int, int, int]] = []
 
     # ------------------------------------------------------------ array path
     def price_arrays(
@@ -290,200 +444,347 @@ class _Engine:
         ``add is None`` means the constant service tail ``t_in_row``
         (the fault-free case); ``base`` is the segment's global request
         index, used for the recorded completions and the first response.
+        Without service tails or arrivals, a segment whose blocks repeat
+        is priced one period at a time (see "Steady-state pricing").
         """
+        n = len(va)
+        hit = np.empty(n, dtype=bool)
+        for blk in range((n + BLOCK - 1) // BLOCK):
+            lo = blk * BLOCK
+            hi = min(lo + BLOCK, n)
+            hit[lo:hi] = self._classify(gbank[lo:hi], rows[lo:hi])
+        seg = _Segment(va, ba, gbank, hit, add, min_add, arrivals, base)
+        plan = _steady_plan(gbank, hit) if add is None and arrivals is None else None
+        if plan is None:
+            self._price_span(seg, 0, n)
+        else:
+            self._price_steady(seg, plan)
+
+    def _classify(self, gb: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Row-hit flags of a slice, in program order.
+
+        Request k hits iff the previous access to its bank touched the
+        same row; "previous" resolves within the slice via a stable
+        group-by-bank sort and across slices via the carried open rows,
+        which this advances past the slice.  Timing plays no part.
+        """
+        m = len(gb)
+        open_row = self.open_row
+        og = _stable_order(gb, self.n_banks)
+        gs = gb[og]
+        rs = rows[og]
+        head_g = _changes(gs)
+        hit_sorted = np.zeros(m, dtype=bool)
+        hit_sorted[1:] = ~head_g[1:] & (rs[1:] == rs[:-1])
+        g_firsts = np.flatnonzero(head_g)
+        hit_sorted[g_firsts] = open_row[gs[g_firsts]] == rs[g_firsts]
+        g_ends = np.append(g_firsts[1:] - 1, m - 1)
+        open_row[gs[g_ends]] = rs[g_ends]
+        hit = np.empty(m, dtype=bool)
+        hit[og] = hit_sorted
+        return hit
+
+    def _price_block(self, seg: _Segment, lo: int, hi: int) -> np.ndarray:
+        """Relax requests ``[lo, hi)`` of ``seg`` against the carried state.
+
+        Returns the block's completion times.
+        """
+        va_b = seg.va[lo:hi]
+        ba_b = seg.ba[lo:hi]
+        gb_b = seg.gbank[lo:hi]
+        hit = seg.hit[lo:hi]
+        add_b = seg.add[lo:hi] if seg.add is not None else None
+        arr_b = seg.arrivals[lo:hi] if seg.arrivals is not None else None
+        min_add = seg.min_add
+        start = seg.base + lo
         t_in_row = self.t_in_row
         t_in_vault = self.t_in_vault
         t_diff_bank = self.t_diff_bank
         t_diff_row = self.t_diff_row
         n_layers = self.n_layers
         in_order = self.in_order
-        open_row = self.open_row
         bank_next_act = self.bank_next_act
         last_act_a = self.last_act_a
         last_act_bank = self.last_act_bank
         vault_ready = self.vault_ready
 
-        n = len(va)
-        block_arange = np.arange(min(n, BLOCK), dtype=np.int64)
-        n_blocks = (n + BLOCK - 1) // BLOCK
-        for blk in range(n_blocks):
-            lo = blk * BLOCK
-            hi = min(lo + BLOCK, n)
-            m = hi - lo
-            va_b = va[lo:hi]
-            ba_b = ba[lo:hi]
-            gb_b = gbank[lo:hi]
-            rows_b = rows[lo:hi]
-            add_b = add[lo:hi] if add is not None else None
-            pos_b = block_arange[:m]
+        m = len(va_b)
+        pos_b = np.arange(m, dtype=np.int64)
+        miss = ~hit
 
-            # --- row hit/miss classification (timing-independent) ---------
-            # Request k hits iff the previous access to its bank touched
-            # the same row; "previous" resolves within the block via a
-            # stable group-by-bank sort and across blocks via the carried
-            # open rows.
-            og = np.argsort(gb_b, kind="stable")
-            gs = gb_b[og]
-            rs = rows_b[og]
-            head_g = _changes(gs)
-            hit_sorted = np.zeros(m, dtype=bool)
-            hit_sorted[1:] = ~head_g[1:] & (rs[1:] == rs[:-1])
-            g_firsts = np.flatnonzero(head_g)
-            hit_sorted[g_firsts] = open_row[gs[g_firsts]] == rs[g_firsts]
-            g_ends = np.append(g_firsts[1:] - 1, m - 1)
-            open_row[gs[g_ends]] = rs[g_ends]
-            block_hits = int(hit_sorted.sum())
-            self.activations += m - block_hits
+        # --- chain construction -------------------------------------------
+        # Misses grouped by bank, in program order within each bank.
+        mi = np.flatnonzero(miss)
+        ob = mi[_stable_order(gb_b[mi], self.n_banks)]
+        self.activations += len(ob)
+        gb_ob = gb_b[ob]
+        head_b0 = _changes(gb_ob) if len(ob) else np.zeros(0, dtype=bool)
 
-            # --- chain construction ---------------------------------------
-            # og restricted to misses keeps both the bank grouping and the
-            # program order within each group: chain B needs no second sort.
-            miss_sorted = np.flatnonzero(~hit_sorted)
-            ob = og[miss_sorted]
-            gb_ob = gs[miss_sorted]
-            head_b0 = _changes(gb_ob) if len(ob) else np.zeros(0, dtype=bool)
+        if in_order:
+            rank = pos_b
+            ov = None
+            # misses in vault order, program order within each vault
+            oc = mi[_stable_order(va_b[mi], self.n_vaults)]
+        else:
+            ov = _stable_order(va_b, self.n_vaults)
+            vs = va_b[ov]
+            head_v = _changes(vs)
+            v_starts = np.flatnonzero(head_v)
+            seg_v = np.cumsum(head_v, dtype=np.int64) - 1
+            rank_sorted = pos_b - v_starts[seg_v]
+            rank = np.empty(m, dtype=np.int64)
+            rank[ov] = rank_sorted
+            # misses in vault order, program order within each vault:
+            oc = ov[miss[ov]]
+        va_oc = va_b[oc]
+        head_c0 = _changes(va_oc) if len(oc) else np.zeros(0, dtype=bool)
 
-            if in_order:
-                rank = pos_b
-                ov = None
-                # misses in vault order, program order within each vault --
-                # ``ob`` is bank-major, so restore program order first or
-                # the vault chains would link backwards and cycle with
-                # chain A.
-                mi = np.sort(ob)
-                oc = mi[np.argsort(va_b[mi], kind="stable")] if len(ob) else ob
-            else:
-                ov = np.argsort(va_b, kind="stable")
-                vs = va_b[ov]
-                head_v = _changes(vs)
-                v_starts = np.flatnonzero(head_v)
-                seg_v = np.cumsum(head_v, dtype=np.int64) - 1
-                rank_sorted = pos_b - v_starts[seg_v]
-                rank = np.empty(m, dtype=np.int64)
-                rank[ov] = rank_sorted
-                # misses in vault order, program order within each vault:
-                hit_flags = np.zeros(m, dtype=bool)
-                hit_flags[og] = hit_sorted
-                oc = ov[~hit_flags[ov]]
-            va_oc = va_b[oc]
-            head_c0 = _changes(va_oc) if len(oc) else np.zeros(0, dtype=bool)
+        # Chain B: constant step, pruned where the chain-A path between
+        # consecutive same-bank activations is already wider.
+        head_b = head_b0.copy()
+        if len(ob) > 1:
+            dist_b = np.empty(len(ob), dtype=np.int64)
+            dist_b[0] = 0
+            dist_b[1:] = rank[ob[1:]] - rank[ob[:-1]]
+            head_b |= dist_b * min_add >= t_diff_row
+        has_b = len(ob) > 1 and bool((~head_b).any())
 
-            # Chain B: constant step, pruned where the chain-A path between
-            # consecutive same-bank activations is already wider.
-            head_b = head_b0.copy()
-            if len(ob) > 1:
-                dist_b = np.empty(len(ob), dtype=np.int64)
-                dist_b[0] = 0
-                dist_b[1:] = rank[ob[1:]] - rank[ob[:-1]]
-                head_b |= dist_b * min_add >= t_diff_row
-            has_b = len(ob) > 1 and bool((~head_b).any())
-
-            # Chain C: layer-dependent step; same-bank links are chain B's,
-            # and chain-A-dominated links are pruned the same way.
-            head_c = head_c0.copy()
-            if len(oc) > 1:
-                ba_oc = ba_b[oc]
-                step_c = np.where(
-                    (ba_oc % n_layers)[1:] == (ba_oc % n_layers)[:-1],
-                    t_diff_bank,
-                    t_in_vault,
-                )
-                step_c = np.concatenate(([0], step_c))
-                head_c[1:] |= ba_oc[1:] == ba_oc[:-1]
-                dist_c = np.empty(len(oc), dtype=np.int64)
-                dist_c[0] = 0
-                dist_c[1:] = rank[oc[1:]] - rank[oc[:-1]]
-                head_c |= dist_c * min_add >= step_c
-            has_c = len(oc) > 1 and bool((~head_c).any())
-
-            # --- seed the beat times with every constant lower bound ------
-            a = (
-                arrivals[lo:hi].copy()
-                if arrivals is not None
-                else np.zeros(m, dtype=np.int64)
+        # Chain C: layer-dependent step; same-bank links are chain B's,
+        # and chain-A-dominated links are pruned the same way.
+        head_c = head_c0.copy()
+        if len(oc) > 1:
+            ba_oc = ba_b[oc]
+            step_c = np.where(
+                (ba_oc % n_layers)[1:] == (ba_oc % n_layers)[:-1],
+                t_diff_bank,
+                t_in_vault,
             )
-            if in_order:
-                if a[0] < self.stream_ready:
-                    a[0] = self.stream_ready
-                if add_b is None:
-                    c_a = pos_b * t_in_row
-                else:
-                    c_a = np.cumsum(add_b, dtype=np.int64) - add_b
-                order_a = None
-                seg_a = None
-            else:
-                firsts = ov[v_starts]
-                a[firsts] = np.maximum(a[firsts], vault_ready[vs[v_starts]])
-                if add_b is None:
-                    c_a = rank_sorted * t_in_row
-                else:
-                    steps = add_b[ov]
-                    c_a = np.cumsum(steps, dtype=np.int64) - steps
-                order_a = ov
-                seg_a = _seg_ids(head_v)
-            if len(ob):
-                b_firsts = ob[np.flatnonzero(head_b0)]
-                a[b_firsts] = np.maximum(a[b_firsts], bank_next_act[gb_b[b_firsts]])
-            if len(oc):
-                c_firsts = oc[np.flatnonzero(head_c0)]
-                v_first = va_b[c_firsts]
-                prev_bank = last_act_bank[v_first]
-                gate = np.where(
-                    (prev_bank % n_layers) == (ba_b[c_firsts] % n_layers),
-                    t_diff_bank,
-                    t_in_vault,
-                )
-                bound = last_act_a[v_first] + gate
-                apply = (prev_bank >= 0) & (prev_bank != ba_b[c_firsts])
-                a[c_firsts] = np.maximum(
-                    a[c_firsts], np.where(apply, bound, NO_ACT)
-                )
+            step_c = np.concatenate(([0], step_c))
+            head_c[1:] |= ba_oc[1:] == ba_oc[:-1]
+            dist_c = np.empty(len(oc), dtype=np.int64)
+            dist_c[0] = 0
+            dist_c[1:] = rank[oc[1:]] - rank[oc[:-1]]
+            head_c |= dist_c * min_add >= step_c
+        has_c = len(oc) > 1 and bool((~head_c).any())
 
-            # --- relax to the least fixpoint ------------------------------
+        # --- seed the beat times with every constant lower bound ----------
+        a = arr_b.copy() if arr_b is not None else np.zeros(m, dtype=np.int64)
+        if in_order:
+            if a[0] < self.stream_ready:
+                a[0] = self.stream_ready
+            if add_b is None:
+                c_a = pos_b * t_in_row
+            else:
+                c_a = np.cumsum(add_b, dtype=np.int64) - add_b
+            order_a = None
+            seg_a = None
+        else:
+            firsts = ov[v_starts]
+            a[firsts] = np.maximum(a[firsts], vault_ready[vs[v_starts]])
+            if add_b is None:
+                c_a = rank_sorted * t_in_row
+            else:
+                steps = add_b[ov]
+                c_a = np.cumsum(steps, dtype=np.int64) - steps
+            order_a = ov
+            seg_a = _seg_ids(head_v)
+        if len(ob):
+            b_firsts = ob[np.flatnonzero(head_b0)]
+            a[b_firsts] = np.maximum(a[b_firsts], bank_next_act[gb_b[b_firsts]])
+        if len(oc):
+            c_firsts = oc[np.flatnonzero(head_c0)]
+            v_first = va_b[c_firsts]
+            prev_bank = last_act_bank[v_first]
+            gate = np.where(
+                (prev_bank % n_layers) == (ba_b[c_firsts] % n_layers),
+                t_diff_bank,
+                t_in_vault,
+            )
+            bound = last_act_a[v_first] + gate
+            apply = (prev_bank >= 0) & (prev_bank != ba_b[c_firsts])
+            a[c_firsts] = np.maximum(a[c_firsts], np.where(apply, bound, NO_ACT))
+
+        # --- relax to the least fixpoint ----------------------------------
+        if has_b:
+            c_b = (pos_b[: len(ob)]) * t_diff_row
+            seg_b = _seg_ids(head_b)
+        if has_c:
+            c_c = np.cumsum(np.where(head_c, 0, step_c), dtype=np.int64)
+            seg_c = _seg_ids(head_c)
+        for _ in range(MAX_PASSES):
+            changed = _relax(a, order_a, c_a, seg_a)
             if has_b:
-                c_b = (pos_b[: len(ob)]) * t_diff_row
-                seg_b = _seg_ids(head_b)
+                changed |= _relax(a, ob, c_b, seg_b)
             if has_c:
-                c_c = np.cumsum(np.where(head_c, 0, step_c), dtype=np.int64)
-                seg_c = _seg_ids(head_c)
-            for _ in range(MAX_PASSES):
-                changed = _relax(a, order_a, c_a, seg_a)
-                if has_b:
-                    changed |= _relax(a, ob, c_b, seg_b)
-                if has_c:
-                    changed |= _relax(a, oc, c_c, seg_c)
-                if not changed:
+                changed |= _relax(a, oc, c_c, seg_c)
+            if not changed:
+                break
+        else:
+            raise VectorConvergenceError(
+                f"no fixpoint after {MAX_PASSES} relaxation passes"
+                f" (block at request {start})"
+            )
+
+        # --- fold the block into the aggregates, carry the state ----------
+        x = a + (add_b if add_b is not None else t_in_row)
+        if self.x_out is not None:
+            self.x_out[start : start + m] = x
+        if start == 0:
+            self.first_completion = int(x[0])
+        self.last_completion = max(self.last_completion, int(x.max()))
+        np.maximum.at(self.busy_ps, va_b, x)
+        if arr_b is not None:
+            lat = x - arr_b
+            self.latency_sum += int(lat.sum())
+            self.latency_max = max(self.latency_max, int(lat.max()))
+        if len(ob):
+            b_ends = np.append(np.flatnonzero(head_b0)[1:] - 1, len(ob) - 1)
+            bank_next_act[gb_ob[b_ends]] = a[ob[b_ends]] + t_diff_row
+        if len(oc):
+            c_ends = np.append(np.flatnonzero(head_c0)[1:] - 1, len(oc) - 1)
+            last_act_a[va_oc[c_ends]] = a[oc[c_ends]]
+            last_act_bank[va_oc[c_ends]] = ba_b[oc[c_ends]]
+        if in_order:
+            self.stream_ready = int(x[-1])
+        else:
+            v_ends = np.append(v_starts[1:] - 1, m - 1)
+            vault_ready[vs[v_ends]] = x[ov[v_ends]]
+        return x
+
+    def _price_span(self, seg: _Segment, lo: int, hi: int) -> np.ndarray:
+        """Price requests ``[lo, hi)`` of a classified segment, block by block.
+
+        Returns the completion times of the last block priced.
+        """
+        x = np.zeros(0, dtype=np.int64)
+        for blk in range((hi - lo + BLOCK - 1) // BLOCK):
+            b_lo = lo + blk * BLOCK
+            x = self._price_block(seg, b_lo, min(b_lo + BLOCK, hi))
+        return x
+
+    # ------------------------------------------------------ steady-state path
+    def _price_steady(
+        self, seg: _Segment, plan: tuple[int, np.ndarray, np.ndarray]
+    ) -> None:
+        """Price a segment one period at a time, shifting repeated blocks.
+
+        ``plan`` is ``(period, first, last)``: blocks ``first[r]`` through
+        ``last[r]`` of ``period`` requests each share one (bank, hit)
+        sequence.  Each such run is priced block by block until a block
+        moves every state entry it writes by one shift ``Δ``; the rest
+        of the run is that block shifted by ``Δ`` per block.  Everything
+        between runs is priced as usual.
+        """
+        period, first, last = plan
+        n = len(seg.va)
+        pos = 0
+        priced = 0
+        skipped = 0
+        for r in range(len(first)):
+            s = int(first[r])
+            e = int(last[r])
+            self._price_span(seg, pos, s * period)
+            priced += s - pos // period
+            pos = (e + 1) * period
+            t_end = min(e, s + MAX_TRIES)
+            for t in range(s, t_end):
+                lo = t * period
+                hi = lo + period
+                before = self._timing_state()
+                activations = self.activations
+                x = self._price_span(seg, lo, hi)
+                priced += 1
+                diff = self._timing_state() - before
+                if self._is_shift(diff, seg.gbank[lo:hi], seg.hit[lo:hi]):
+                    self._repeat(
+                        diff, x, seg.va[lo:hi], e - t,
+                        self.activations - activations, seg.base + hi,
+                    )
+                    skipped += e - t
                     break
             else:
-                raise VectorConvergenceError(
-                    f"no fixpoint after {MAX_PASSES} relaxation passes"
-                    f" (block {blk + 1}/{n_blocks})"
-                )
+                self._price_span(seg, t_end * period, pos)
+                priced += e + 1 - t_end
+        self._price_span(seg, pos, n)
+        priced += (n - pos + period - 1) // period
+        if skipped:
+            self.steady.append((period, priced, skipped * period))
 
-            # --- fold the block into the aggregates, carry the state ------
-            x = a + (add_b if add_b is not None else t_in_row)
-            if self.x_out is not None:
-                self.x_out[base + lo : base + hi] = x
-            if base + lo == 0:
-                self.first_completion = int(x[0])
-            self.last_completion = max(self.last_completion, int(x.max()))
-            np.maximum.at(self.busy_ps, va_b, x)
-            if arrivals is not None:
-                lat = x - arrivals[lo:hi]
-                self.latency_sum += int(lat.sum())
-                self.latency_max = max(self.latency_max, int(lat.max()))
-            if len(ob):
-                b_ends = np.append(np.flatnonzero(head_b0)[1:] - 1, len(ob) - 1)
-                bank_next_act[gb_ob[b_ends]] = a[ob[b_ends]] + t_diff_row
-            if len(oc):
-                c_ends = np.append(np.flatnonzero(head_c0)[1:] - 1, len(oc) - 1)
-                last_act_a[va_oc[c_ends]] = a[oc[c_ends]]
-                last_act_bank[va_oc[c_ends]] = ba_b[oc[c_ends]]
-            if in_order:
-                self.stream_ready = int(x[-1])
-            else:
-                v_ends = np.append(v_starts[1:] - 1, m - 1)
-                vault_ready[vs[v_ends]] = x[ov[v_ends]]
+    def _timing_state(self) -> np.ndarray:
+        """The carried state the array scan reads, as one int64 vector.
+
+        Layout: ``bank_next_act``, ``last_act_a``, ``last_act_bank``,
+        ``vault_ready``, ``stream_ready``.
+        """
+        return np.concatenate(
+            (
+                self.bank_next_act,
+                self.last_act_a,
+                self.last_act_bank,
+                self.vault_ready,
+                [self.stream_ready],
+            )
+        )
+
+    def _is_shift(self, diff: np.ndarray, gb_b: np.ndarray, hit: np.ndarray) -> bool:
+        """Whether a block moved every state entry it wrote by one ``Δ > 0``.
+
+        ``diff`` is :meth:`_timing_state` after the block minus before.
+        The entries a block writes are exactly those it reads: the banks
+        it activates, the vaults it activates on, and the vaults it
+        serves (``per_vault``) or the stream (``in_order``).  So when
+        they all moved by ``Δ`` and no vault's last activated bank
+        changed, an identical next block reads this block's input
+        shifted by ``Δ``.
+        """
+        nb = self.n_banks
+        nv = self.n_vaults
+        if diff[nb + nv : nb + 2 * nv].any():
+            return False
+        moved = diff[diff != 0]
+        if len(moved) == 0 or moved[0] <= 0 or (moved != moved[0]).any():
+            return False
+        # Counted with bincount: np.unique imports numpy.ma on first use,
+        # about 35 ms in every freshly forked sweep or serve worker.
+        activated = np.bincount(gb_b[~hit], minlength=nb).reshape(nv, -1) > 0
+        written = np.count_nonzero(activated) + np.count_nonzero(activated.any(1))
+        if self.in_order:
+            written += 1
+        else:
+            served = np.bincount(gb_b // self.banks_per_vault, minlength=nv)
+            written += np.count_nonzero(served)
+        return len(moved) == written
+
+    def _repeat(
+        self,
+        diff: np.ndarray,
+        x: np.ndarray,
+        va_b: np.ndarray,
+        k: int,
+        activations: int,
+        start: int,
+    ) -> None:
+        """Advance the state past ``k`` copies of a block priced as ``x``.
+
+        Copy ``j`` (1-based) completes at ``x + j * Δ``; the shift
+        entries of ``diff`` carry the state forward by ``k`` copies.
+        """
+        nb = self.n_banks
+        nv = self.n_vaults
+        delta = int(diff[diff != 0][0])
+        total = k * delta
+        self.bank_next_act += k * diff[:nb]
+        self.last_act_a += k * diff[nb : nb + nv]
+        self.vault_ready += k * diff[nb + 2 * nv : nb + 3 * nv]
+        self.stream_ready += k * int(diff[-1])
+        np.maximum.at(self.busy_ps, va_b, x + total)
+        self.last_completion = max(self.last_completion, int(x.max()) + total)
+        self.activations += k * activations
+        if self.x_out is not None:
+            shifts = np.arange(1, k + 1, dtype=np.int64) * delta
+            self.x_out[start : start + k * len(x)] = (
+                x[None, :] + shifts[:, None]
+            ).ravel()
 
     # ------------------------------------------------------- closed-form path
     def price_run(
@@ -586,7 +887,7 @@ class _Engine:
     # -------------------------------------------------------------- finalize
     def finish(
         self, n: int, had_arrivals: bool, record: bool
-    ) -> tuple[AccessStats, np.ndarray | None]:
+    ) -> tuple[AccessStats, np.ndarray | None, SteadyState | None]:
         """Convert the integer-ps aggregates into the public ns stats."""
         busy_list = self.busy_ps.tolist()
         busy = {
@@ -608,7 +909,15 @@ class _Engine:
             max_request_latency_ns=ps_to_ns(self.latency_max),
         )
         out = ps_array_to_ns(self.x_out) if record and self.x_out is not None else None
-        return stats, out
+        steady = None
+        if self.steady:
+            segs = np.array(self.steady, dtype=np.int64)
+            steady = SteadyState(
+                period=int(segs[segs[:, 2].argmax(), 0]),
+                blocks_priced=int(segs[:, 1].sum()),
+                requests_extrapolated=int(segs[:, 2].sum()),
+            )
+        return stats, out, steady
 
 
 def simulate_vector(
@@ -617,32 +926,36 @@ def simulate_vector(
     discipline: str,
     faults: FaultState | None = None,
     record: bool = False,
-) -> tuple[AccessStats, np.ndarray | None]:
+) -> tuple[AccessStats, np.ndarray | None, SteadyState | None]:
     """Price one trace with array scans; exact-engine-equal by construction.
 
     Mirrors the contract of the exact loop ``Memory3D._simulate_exact``:
     returns the stats plus (when ``record`` is set) the per-request
-    completion times in ns.  Vault remap and service tail come from the
-    same :mod:`repro.memory3d.prepare` helpers the exact loop uses.  The caller has already
-    checked :func:`unsupported_reason`.  Accepts a raw
-    :class:`~repro.trace.request.TraceArray` (auto-compiled when long
-    and compressible) or a :class:`~repro.trace.compile.CompiledTrace`
-    (priced run by run).
+    completion times in ns, plus what steady-state pricing shifted
+    (``None`` when nothing was).  Vault remap and service tail come
+    from the same :mod:`repro.memory3d.prepare` helpers the exact loop
+    uses.  The caller has already checked :func:`unsupported_reason`.
+    Accepts a raw :class:`~repro.trace.request.TraceArray`
+    (auto-compiled when long and compressible) or a
+    :class:`~repro.trace.compile.CompiledTrace` (priced run by run).
     """
     from repro.trace.compile import compile_trace
     from repro.trace.request import TraceArray
 
     n = len(trace)
     if n == 0:
-        return AccessStats(), (np.zeros(0, dtype=np.float64) if record else None)
+        empty = np.zeros(0, dtype=np.float64) if record else None
+        return AccessStats(), empty, None
 
     compiled: Any = None
+    raw = None
     if isinstance(trace, TraceArray):
         plain = faults is None and trace.arrival_ns is None
         if plain and n >= AUTO_COMPILE_MIN:
             probe = compile_trace(trace)
             if len(probe.runs) * AUTO_COMPILE_RATIO <= n:
                 compiled = probe
+                raw = trace.addresses
     else:
         if faults is None and trace.arrival_ns is None:
             compiled = trace
@@ -653,7 +966,7 @@ def simulate_vector(
 
     engine = _Engine(memory, discipline, n, record)
     if compiled is not None:
-        _price_compiled(memory, engine, compiled)
+        _price_compiled(memory, engine, compiled, raw)
         if faults is not None:  # pragma: no cover - guarded above
             raise AssertionError("compiled pricing is fault-free by construction")
         return engine.finish(n, had_arrivals=False, record=record)
@@ -668,14 +981,18 @@ def simulate_vector(
 
 
 def _price_compiled(
-    memory: Memory3D, engine: _Engine, compiled: CompiledTrace
+    memory: Memory3D,
+    engine: _Engine,
+    compiled: CompiledTrace,
+    addresses: np.ndarray | None = None,
 ) -> None:
     """Walk a compiled trace, pricing runs in closed form where possible.
 
     Runs whose stride pins every request to one bank go through
     :meth:`_Engine.price_run`; maximal stretches of everything else are
-    expanded and batched through the array scan.  Single-request runs
-    ride with their neighbours.  The carried state makes the
+    batched through the array scan, sliced from ``addresses`` (the raw
+    trace the runs were compiled from) or else expanded.  Single-request
+    runs ride with their neighbours.  The carried state makes the
     interleaving exact.
     """
     from repro.trace.compile import expand_runs
@@ -743,8 +1060,11 @@ def _price_compiled(
                     base=bases_l[r],
                 )
         else:
-            addresses, _ = expand_runs(runs[s:e])
-            va, ba, rows, gbank = decode(memory, addresses, None)
+            if addresses is None:
+                stretch, _ = expand_runs(runs[s:e])
+            else:
+                stretch = addresses[bases_l[s] : bases_l[e - 1] + counts_l[e - 1]]
+            va, ba, rows, gbank = decode(memory, stretch, None)
             engine.price_arrays(
                 va,
                 ba,

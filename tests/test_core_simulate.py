@@ -4,6 +4,8 @@ The paper's evaluation is model-based; our simulator rebuilds the same
 numbers from individual memory requests.  These tests pin the agreement.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import AnalyticModel
@@ -89,6 +91,22 @@ class TestOptimizedColumn:
         layout = ddl_layout(system_config, 512)
         with pytest.raises(SimulationError):
             simulate_optimized_column_phase(system_config, 1024, layout)
+
+    @pytest.mark.parametrize("streams", [3, 12])
+    def test_streams_not_dividing_block_columns_cover_the_phase(
+        self, system_config, streams
+    ):
+        # N=1024 h=8 has 1024 / 4 = 256 block columns: 3 and 12 streams
+        # leave a partial last round, which still belongs to the phase.
+        n = 1024
+        config = replace(system_config, column_streams=streams)
+        layout = BlockDDLLayout(n, n, width=4, height=8)
+        assert layout.blocks_per_row_band % streams
+        phase = simulate_optimized_column_phase(
+            config, n, layout, max_requests=65_536, engine="vector"
+        )
+        assert phase.stats.requests == n * n
+        assert phase.stats.bytes_transferred == phase.n_bytes
 
     def test_matches_analytic(self, system_config, model):
         layout = ddl_layout(system_config, 1024)

@@ -286,3 +286,98 @@ class TestSweepIntegration:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(SweepGrid(**self.GRID), engine="warp")
+
+
+class TestSteadyState:
+    """Repeating blocks are priced once and shifted, exactly.
+
+    The corpus above is 1,024 requests, below the four smallest periods
+    a segment needs before a repeat is worth looking for; these cases
+    are sweep-sized (65,536 requests) so the shift path really runs.
+    """
+
+    POINTS = [
+        ("row-major", None),
+        ("column-major", None),
+        ("tiled-1x32", None),
+        ("block-ddl-w1h32", None),
+    ] + [("ddl", h) for h in (None, 1, 2, 4, 8, 16, 32)]
+
+    @staticmethod
+    def phase(n, layout, height):
+        from repro.core.config import SystemConfig
+        from repro.core.simulate import column_phase_layout, phase_trace
+
+        config = SystemConfig()
+        built = column_phase_layout(config, n, layout, height)
+        pattern = "block-reads" if isinstance(built, BlockDDLLayout) else "column-walk"
+        return phase_trace(
+            built, pattern, 65_536, streams=config.column_streams
+        ).prefix
+
+    @pytest.mark.parametrize("discipline", ["in_order", "per_vault"])
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    @pytest.mark.parametrize(
+        "layout,height", POINTS, ids=[f"{lay}-{h}" for lay, h in POINTS]
+    )
+    def test_sweep_points_identical_and_shifted(self, layout, height, n, discipline):
+        trace = self.phase(n, layout, height)
+        exact, vector, _, mem = both_engines(trace, discipline)
+        assert exact == vector
+        assert mem.last_engine == "vector"
+        steady = mem.last_steady_state
+        assert steady is not None
+        assert steady.requests_extrapolated > 0
+        assert steady.requests_extrapolated % steady.period == 0
+
+    def test_perturbed_block_breaks_and_resumes_the_period(self):
+        trace = block_column_read_trace(
+            BlockDDLLayout(256, 256, width=32, height=1), n_streams=8
+        )
+        clean = Memory3D(pact15_hmc_config())
+        clean.simulate(trace, "per_vault", engine="vector")
+        period = clean.last_steady_state.period
+        addresses = trace.addresses.copy()
+        # Move one request of a middle block to another row of its bank.
+        mid = len(addresses) // 2 + period // 2
+        addresses[mid] += 1 << 15
+        perturbed = TraceArray(addresses)
+        exact, vector, _, mem = both_engines(perturbed, "per_vault")
+        assert exact == vector
+        steady = mem.last_steady_state
+        assert steady.period == period
+        # Shifting resumed after the broken block: more was shifted than
+        # the half before it holds.
+        assert len(addresses) // 2 < steady.requests_extrapolated
+        assert steady.requests_extrapolated < (
+            clean.last_steady_state.requests_extrapolated
+        )
+
+    @pytest.mark.parametrize("discipline", ["in_order", "per_vault"])
+    def test_recorded_completions_identical(self, discipline):
+        trace = column_walk_trace(RowMajorLayout(256, 256))
+        mem = Memory3D(pact15_hmc_config())
+        stats, completions, steady = vector_engine.simulate_vector(
+            mem, trace, discipline, record=True
+        )
+        assert steady is not None
+        exact_stats, exact_completions = Memory3D(
+            pact15_hmc_config()
+        )._simulate_exact(trace, discipline, None, True)
+        assert stats == exact_stats
+        assert np.array_equal(completions, exact_completions)
+
+    def test_record_resets_on_every_simulation(self):
+        mem = Memory3D(pact15_hmc_config())
+        mem.simulate(column_walk_trace(RowMajorLayout(256, 256)), engine="vector")
+        assert mem.last_steady_state is not None
+        mem.simulate(linear_trace(0, 64), engine="vector")
+        assert mem.last_steady_state is None
+
+    def test_faulted_runs_price_every_block(self):
+        plan = builtin_fault_plans(seed=11)["latency-jitter"]
+        trace = column_walk_trace(RowMajorLayout(256, 256))
+        exact, vector, _, mem = both_engines(trace, "per_vault", fault_plan=plan)
+        assert exact == vector
+        assert mem.last_engine == "vector"
+        assert mem.last_steady_state is None

@@ -15,10 +15,14 @@ descriptors -- prices each case on both engines and demands:
   activation/row-hit counters equal the number of ACTIVATE / ROW_HIT
   events the exact engine emits to a recorder.
 
-A structured JSON report (one record per case) is always written; the
-exit status is nonzero iff any case disagrees.  CI runs this as the
-``engine-equivalence`` job and uploads the report as an artifact on
-failure.
+Two sweep-sized traces (65,536 requests, :data:`STEADY_TRACES`) reach
+the vector engine's steady-state path, which shifts repeated blocks
+instead of pricing them; the summary counts the vector-priced cases
+that did.  A structured JSON report (one record per case) is always
+written; the exit status is nonzero iff any case disagrees or no case
+shifted a block (so a silently disabled steady-state path fails too).
+CI runs this as the ``engine-equivalence`` job and uploads the report
+as an artifact on failure.
 
 Usage::
 
@@ -69,6 +73,13 @@ from repro.trace.generators import (  # noqa: E402
 #: prices the whole corpus in seconds.
 N = 64
 
+#: Matrix edge of the sweep-sized traces: one whole N=256 column phase
+#: is 65,536 requests, the sweeps' pricing cap.
+STEADY_N = 256
+
+#: The sweep-sized traces, which repeat enough for steady-state pricing.
+STEADY_TRACES = ("ddl-h1-read-256", "col-walk-rm-256")
+
 
 def build_traces() -> dict[str, TraceArray]:
     """The trace corpus: one entry per generator x layout family."""
@@ -98,6 +109,10 @@ def build_traces() -> dict[str, TraceArray]:
         "linear-arrivals": TraceArray(
             linear_trace(0, N * N).addresses, arrival_ns=arrivals
         ),
+        "ddl-h1-read-256": block_column_read_trace(
+            BlockDDLLayout(STEADY_N, STEADY_N, width=32, height=1), n_streams=8
+        ),
+        "col-walk-rm-256": column_walk_trace(RowMajorLayout(STEADY_N, STEADY_N)),
     }
     return traces
 
@@ -144,9 +159,11 @@ def compare_case(
     )
     vector_summary = mem_vector.last_fault_summary if plan is not None else None
 
+    steady = mem_vector.last_steady_state
     record: dict[str, Any] = {
         "engine_used": mem_vector.last_engine,
         "fallback_reason": mem_vector.last_fallback_reason,
+        "requests_shifted": steady.requests_extrapolated if steady else 0,
         "stats_equal": exact == vector,
         "summary_equal": exact_summary == vector_summary,
     }
@@ -190,7 +207,13 @@ def run_corpus() -> tuple[list[dict[str, Any]], dict[str, int]]:
     plans.update(builtin_fault_plans(seed=7))
 
     records: list[dict[str, Any]] = []
-    tally = {"cases": 0, "failed": 0, "vector_priced": 0, "fallbacks": 0}
+    tally = {
+        "cases": 0,
+        "failed": 0,
+        "vector_priced": 0,
+        "fallbacks": 0,
+        "shifted": 0,
+    }
     for config_name, config in configs.items():
         for trace_name, trace in traces.items():
             for form in ("array", "compiled"):
@@ -214,6 +237,7 @@ def run_corpus() -> tuple[list[dict[str, Any]], dict[str, int]]:
                             tally["failed"] += 1
                         if record["engine_used"] == "vector":
                             tally["vector_priced"] += 1
+                            tally["shifted"] += record["requests_shifted"] > 0
                         else:
                             tally["fallbacks"] += 1
     return records, tally
@@ -241,6 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         f"engine equivalence: {tally['cases']} cases, "
         f"{tally['vector_priced']} vector-priced, "
         f"{tally['fallbacks']} exact fallbacks, "
+        f"{tally['shifted']} shifted repeated blocks, "
         f"{tally['failed']} failed"
     )
     if failures:
@@ -253,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"events_equal={rec['events_equal']}"
             )
         print(f"report: {args.report}")
+        return 1
+    if not tally["shifted"]:
+        print("  no vector-priced case shifted a repeated block")
         return 1
     return 0
 
