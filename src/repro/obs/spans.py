@@ -17,17 +17,28 @@ The instrumented entry points (:mod:`repro.core.simulate`,
 :class:`repro.fft.fft2d.FFT2D`, :class:`repro.framework.planner.LayoutPlanner`)
 accept an optional timeline; passing None keeps them span-free with no
 overhead beyond a single ``is None`` test (:func:`span_or_null`).
+
+:class:`Span` is the one span type of the repository: sweep workers,
+the sweep runner and ``repro serve``'s
+:class:`~repro.obs.tracectx.RequestTracer` all store it.  A timeline
+built with a :class:`~repro.obs.tracectx.TraceContext` gives every span
+a derived context as it opens, so a span exports the same
+``trace_id``/``span_id``/``parent_id`` wherever it is recorded.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Iterator
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
+from repro.obs.logging import json_safe
+
+if TYPE_CHECKING:
+    from repro.obs.tracectx import TraceContext
 
 
 class SpanError(ReproError):
@@ -45,6 +56,8 @@ class Span:
         depth: nesting depth (0 for roots).
         parent: index of the enclosing span in the timeline, or -1.
         meta: free-form key/value annotations (problem size, layout, ...).
+        context: the span's place in a trace tree, or None for a span
+            recorded outside any trace.
     """
 
     name: str
@@ -53,6 +66,7 @@ class Span:
     depth: int = 0
     parent: int = -1
     meta: dict[str, Any] = field(default_factory=dict)
+    context: TraceContext | None = None
 
     @property
     def duration_s(self) -> float:
@@ -61,11 +75,72 @@ class Span:
             return 0.0
         return self.end_s - self.start_s
 
+    def shifted(self, offset_s: float) -> Span:
+        """A copy moved ``offset_s`` seconds along the clock axis."""
+        return replace(
+            self,
+            start_s=self.start_s + offset_s,
+            end_s=None if self.end_s is None else self.end_s + offset_s,
+        )
+
+    def ids(self) -> dict[str, str | None]:
+        """``trace_id``/``span_id``/``parent_id`` (all None without a
+        context)."""
+        context = self.context
+        if context is None:
+            return {"trace_id": None, "span_id": None, "parent_id": None}
+        return {
+            "trace_id": context.trace_id,
+            "span_id": context.span_id,
+            "parent_id": context.parent_id,
+        }
+
+    def as_dict(self) -> dict[str, Any]:
+        """JSON-native form (worker payloads, flight ``traces``)."""
+        return {
+            **self.ids(),
+            "name": self.name,
+            "start_s": self.start_s,
+            "duration_s": self.duration_s,
+            "meta": {str(k): json_safe(v) for k, v in self.meta.items()},
+        }
+
+    def chrome_event(
+        self, pid: int, tid: int, origin_s: float, **args: Any
+    ) -> dict:
+        """This span as a Chrome ``trace_event`` slice (``ph: "X"``).
+
+        ``ts`` is microseconds after ``origin_s``; ``args`` holds the
+        span's meta, then the extra ``args``, then its trace ids.
+        """
+        event_args = {str(k): json_safe(v) for k, v in self.meta.items()}
+        event_args.update(args)
+        if self.context is not None:
+            event_args.update(self.ids())
+        event: dict[str, Any] = {
+            "name": self.name,
+            "cat": "span",
+            "ph": "X",
+            "pid": pid,
+            "tid": tid,
+            "ts": (self.start_s - origin_s) * 1e6,
+            "dur": self.duration_s * 1e6,
+        }
+        if event_args:
+            event["args"] = event_args
+        return event
+
 
 class SpanTimeline:
-    """An ordered collection of nested spans with rendering helpers."""
+    """An ordered collection of nested spans with rendering helpers.
 
-    def __init__(self) -> None:
+    With a ``context``, span ``i`` gets the context
+    ``context.child("wspan", i)``, parented on its enclosing span or, for
+    a root span, on ``context`` itself.
+    """
+
+    def __init__(self, context: TraceContext | None = None) -> None:
+        self.context = context
         self.spans: list[Span] = []
         self._stack: list[int] = []
 
@@ -74,12 +149,14 @@ class SpanTimeline:
     def span(self, name: str, **meta: Any) -> Iterator[Span]:
         """Context manager timing one region; nests under any open span."""
         index = len(self.spans)
+        parent = self._stack[-1] if self._stack else -1
         record = Span(
             name=name,
             start_s=time.perf_counter(),
             depth=len(self._stack),
-            parent=self._stack[-1] if self._stack else -1,
+            parent=parent,
             meta=meta,
+            context=self._context_for(index, parent),
         )
         self.spans.append(record)
         self._stack.append(index)
@@ -89,6 +166,13 @@ class SpanTimeline:
             record.end_s = time.perf_counter()
             self._stack.pop()
 
+    def _context_for(self, index: int, parent: int) -> TraceContext | None:
+        if self.context is None:
+            return None
+        enclosing = self.spans[parent].context if parent >= 0 else None
+        parent_id = (enclosing or self.context).span_id
+        return replace(self.context.child("wspan", index), parent_id=parent_id)
+
     # ----------------------------------------------------------------- views
     def __len__(self) -> int:
         return len(self.spans)
@@ -96,11 +180,6 @@ class SpanTimeline:
     def roots(self) -> list[Span]:
         """Top-level spans (depth 0), in start order."""
         return [span for span in self.spans if span.depth == 0]
-
-    def children_of(self, span: Span) -> list[Span]:
-        """Direct children of a span, in start order."""
-        index = self.spans.index(span)
-        return [child for child in self.spans if child.parent == index]
 
     def total_s(self) -> float:
         """Summed duration of the root spans."""
@@ -141,21 +220,7 @@ class SpanTimeline:
             if clock_offset_s is not None
             else min(span.start_s for span in self.spans)
         )
-        events = []
-        for span in self.spans:
-            event = {
-                "name": span.name,
-                "cat": "span",
-                "ph": "X",
-                "pid": pid,
-                "tid": tid,
-                "ts": (span.start_s - origin) * 1e6,
-                "dur": span.duration_s * 1e6,
-            }
-            if span.meta:
-                event["args"] = {k: str(v) for k, v in span.meta.items()}
-            events.append(event)
-        return events
+        return [span.chrome_event(pid, tid, origin) for span in self.spans]
 
 
 def span_or_null(timeline: SpanTimeline | None, name: str, **meta: Any):

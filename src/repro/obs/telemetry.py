@@ -60,8 +60,9 @@ from repro.obs.tracectx import TraceContext, TraceError
 
 #: Schema tag stamped into every serialized worker payload (v2 replaced
 #: the run id with the attempt's ``tracectx`` and gave every span its
-#: derived ``span_id``/``parent_id``).
-WORKER_TELEMETRY_SCHEMA = "repro-worker-telemetry/v2"
+#: derived ``span_id``/``parent_id``; v3 ships each span as
+#: :meth:`~repro.obs.spans.Span.as_dict`).
+WORKER_TELEMETRY_SCHEMA = "repro-worker-telemetry/v3"
 
 #: Chrome pid of the parent runner's span track.
 RUNNER_PID = 0
@@ -186,30 +187,16 @@ class TelemetryEvent:
         return entry
 
 
-def _timeline_from_dicts(spans: list[dict[str, Any]]) -> SpanTimeline:
-    timeline = SpanTimeline()
-    for entry in spans:
-        timeline.spans.append(
-            Span(
-                name=str(entry["name"]),
-                start_s=float(entry["start_s"]),
-                end_s=(
-                    None if entry.get("end_s") is None else float(entry["end_s"])
-                ),
-                depth=int(entry.get("depth", 0)),
-                parent=int(entry.get("parent", -1)),
-                meta=dict(entry.get("meta", {})),
-            )
-        )
-    return timeline
-
-
 class _Recorder:
     """Clock anchor, span timeline, events and metrics of one process."""
 
-    def __init__(self, anchor: ClockAnchor | None = None) -> None:
+    def __init__(
+        self, context: TraceContext, anchor: ClockAnchor | None = None
+    ) -> None:
         self.anchor = anchor or ClockAnchor.now()
-        self.timeline = SpanTimeline()
+        #: The process's trace context; its spans' ids derive from it.
+        self.context = context
+        self.timeline = SpanTimeline(context)
         self.registry = MetricsRegistry()
         self.events: list[TelemetryEvent] = []
 
@@ -251,9 +238,7 @@ class WorkerTelemetry(_Recorder):
         worker_id: int | None = None,
         anchor: ClockAnchor | None = None,
     ) -> None:
-        super().__init__(anchor)
-        #: The attempt's trace context; worker span ids derive from it.
-        self.context = context
+        super().__init__(context, anchor)
         self.point_id = point_id
         self.attempt = attempt
         self.worker_id = os.getpid() if worker_id is None else worker_id
@@ -271,40 +256,6 @@ class WorkerTelemetry(_Recorder):
         telemetry = cls(context, point_id, attempt)
         telemetry.record_event(EV_WORKER_START, point=point_id, attempt=attempt)
         return telemetry
-
-    def span_contexts(self) -> list[TraceContext]:
-        """One trace context per timeline span, in timeline order.
-
-        Span ``i`` is ``context.child("wspan", i)``, parented on its
-        enclosing span or, for a root span, on the attempt itself --
-        so worker spans hang under the attempt in sweep and serve
-        traces alike.
-        """
-        contexts: list[TraceContext] = []
-        for index, span in enumerate(self.timeline.spans):
-            parent = contexts[span.parent] if span.parent >= 0 else self.context
-            derived = self.context.child("wspan", index)
-            contexts.append(
-                TraceContext(derived.trace_id, derived.span_id, parent.span_id)
-            )
-        return contexts
-
-    def span_dicts(self, offset_s: float = 0.0) -> list[dict[str, Any]]:
-        """The timeline as JSON-native dicts carrying the derived
-        ``span_id``/``parent_id``, timestamps shifted by ``offset_s``."""
-        return [
-            {
-                "span_id": context.span_id,
-                "parent_id": context.parent_id,
-                "name": span.name,
-                "start_s": span.start_s + offset_s,
-                "end_s": None if span.end_s is None else span.end_s + offset_s,
-                "depth": span.depth,
-                "parent": span.parent,
-                "meta": {k: json_safe(v) for k, v in span.meta.items()},
-            }
-            for span, context in zip(self.timeline.spans, self.span_contexts())
-        ]
 
     def logger(
         self, name: str = "repro.sweep.worker", **extra: Any
@@ -338,7 +289,7 @@ class WorkerTelemetry(_Recorder):
             "attempt": self.attempt,
             "worker_id": self.worker_id,
             "anchor": self.anchor.as_dict(),
-            "spans": self.span_dicts(),
+            "spans": [span.as_dict() for span in self.timeline.spans],
             "events": [event.as_dict() for event in self.events],
             "metrics": self.registry.as_dict(),
             "logs": [record.as_dict() for record in self.logs],
@@ -367,7 +318,28 @@ class WorkerTelemetry(_Recorder):
                 worker_id=int(data["worker_id"]),
                 anchor=ClockAnchor.from_dict(data["anchor"]),
             )
-            telemetry.timeline = _timeline_from_dicts(data.get("spans", []))
+            spans = telemetry.timeline.spans
+            index_of: dict[str, int] = {}
+            for entry in data.get("spans", []):
+                context = TraceContext(
+                    str(entry["trace_id"]),
+                    str(entry["span_id"]),
+                    entry["parent_id"],
+                )
+                parent = index_of.get(str(context.parent_id), -1)
+                start_s = float(entry["start_s"])
+                index_of[context.span_id] = len(spans)
+                spans.append(
+                    Span(
+                        name=str(entry["name"]),
+                        start_s=start_s,
+                        end_s=start_s + float(entry["duration_s"]),
+                        depth=spans[parent].depth + 1 if parent >= 0 else 0,
+                        parent=parent,
+                        meta=dict(entry["meta"]),
+                        context=context,
+                    )
+                )
             telemetry.events = [
                 TelemetryEvent.from_dict(entry)
                 for entry in data.get("events", [])
@@ -400,10 +372,9 @@ class RunTelemetry(_Recorder):
     """
 
     def __init__(self, run_id: str) -> None:
-        super().__init__()
+        # The run's root context: every worker payload shares its trace.
+        super().__init__(TraceContext.root(run_id))
         self.run_id = run_id
-        #: The run's root context: every worker payload shares its trace.
-        self.context = TraceContext.root(run_id)
         #: Aligned worker records, in merge order.  Each holds the raw
         #: payload's identity plus spans/events shifted into the parent
         #: clock domain.
@@ -416,10 +387,6 @@ class RunTelemetry(_Recorder):
         return cls(run_id)
 
     # ------------------------------------------------------------- recording
-    def span(self, name: str, **meta: Any):
-        """A parent-side timeline span (context manager)."""
-        return self.timeline.span(name, **meta)
-
     def mark_submit(self, point_id: int) -> None:
         """Record the dispatch instant of one point (queue-wait origin)."""
         self._submits[point_id] = self.now()
@@ -429,10 +396,9 @@ class RunTelemetry(_Recorder):
         """Fold one worker payload in; returns the aligned record.
 
         Spans and events are shifted into the parent's monotonic domain
-        (anchor-pair offset), each span keeps its derived trace ids plus
-        an ``id`` namespaced by worker and point, a ``QUEUE_WAIT`` event
-        is derived from the dispatch timestamp, and the worker's
-        metrics fold into :attr:`registry`.
+        (anchor-pair offset), each span keeping its derived trace ids, a
+        ``QUEUE_WAIT`` event is derived from the dispatch timestamp, and
+        the worker's metrics fold into :attr:`registry`.
         """
         telemetry = WorkerTelemetry.from_dict(payload)
         trace_id = telemetry.context.trace_id
@@ -443,9 +409,7 @@ class RunTelemetry(_Recorder):
             )
         offset = telemetry.anchor.offset_to(self.anchor)
         point_id = telemetry.point_id
-        spans = telemetry.span_dicts(offset)
-        for index, span in enumerate(spans):
-            span["id"] = f"{telemetry.worker_id}/{point_id}/{index}"
+        spans = [span.shifted(offset) for span in telemetry.timeline.spans]
         events = [
             replace(event, ts_s=event.ts_s + offset)
             for event in telemetry.events
@@ -468,7 +432,7 @@ class RunTelemetry(_Recorder):
             if pipeline.enabled_for(log.level):
                 pipeline.emit(log)
         submitted = self._submits.get(point_id)
-        started = min((span["start_s"] for span in spans), default=None)
+        started = min((span.start_s for span in spans), default=None)
         if submitted is not None and started is not None:
             wait = max(0.0, started - submitted)
             self.record_event(
@@ -499,7 +463,7 @@ class RunTelemetry(_Recorder):
         candidates += [event.ts_s for event in self.events]
         candidates += list(self._submits.values())
         for record in self.workers:
-            candidates += [span["start_s"] for span in record["spans"]]
+            candidates += [span.start_s for span in record["spans"]]
             candidates += [event.ts_s for event in record["events"]]
         return min(candidates, default=0.0)
 
@@ -565,29 +529,10 @@ class RunTelemetry(_Recorder):
         )
         for record in self.workers:
             pid = pid_of[record["worker_id"]]
-            for span in record["spans"]:
-                end = span["end_s"]
-                duration = 0.0 if end is None else end - span["start_s"]
-                args = {str(k): json_safe(v) for k, v in span["meta"].items()}
-                args.update(
-                    span=span["id"],
-                    point=record["point_id"],
-                    trace_id=record["trace_id"],
-                    span_id=span["span_id"],
-                    parent_id=span["parent_id"],
-                )
-                out.append(
-                    {
-                        "name": span["name"],
-                        "cat": "span",
-                        "ph": "X",
-                        "pid": pid,
-                        "tid": 0,
-                        "ts": (span["start_s"] - origin) * 1e6,
-                        "dur": duration * 1e6,
-                        "args": args,
-                    }
-                )
+            out.extend(
+                span.chrome_event(pid, 0, origin, point=record["point_id"])
+                for span in record["spans"]
+            )
             out.extend(
                 event.chrome_event(pid, 0, origin) for event in record["events"]
             )

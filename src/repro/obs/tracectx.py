@@ -12,10 +12,11 @@ The wire format follows the W3C ``traceparent`` header
 
     00-<32 hex trace_id>-<16 hex span_id>-01
 
-:class:`RequestTracer` collects finished spans per trace into a bounded
-ring (always-on tracing must not leak memory) and exports any tree in
-the Chrome/Perfetto ``traceEvents`` format so serve traces line up with
-the sweep traces from :mod:`repro.obs.export`.
+:class:`RequestTracer` collects finished :class:`~repro.obs.spans.Span`
+records per trace into a bounded ring (always-on tracing must not leak
+memory) and exports any tree in the Chrome/Perfetto ``traceEvents``
+format so serve traces line up with the sweep traces from
+:mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from hashlib import sha256
 
 from repro.errors import ReproError
 from repro.obs.export import chrome_track_name
+from repro.obs.spans import Span
 
 TRACEPARENT_SCHEMA = "repro-traceparent/v1"
 TRACEPARENT_KEYS = frozenset({"schema", "trace_id", "span_id", "parent_id"})
@@ -123,29 +125,6 @@ def parse_traceparent(header: str) -> TraceContext:
 
 
 @dataclass(frozen=True)
-class SpanRecord:
-    """One finished span: timing plus its place in the tree."""
-
-    context: TraceContext
-    name: str
-    start_s: float
-    duration_s: float
-    meta: tuple[tuple[str, object], ...] = ()
-
-    def as_dict(self) -> dict:
-        """JSON-ready form (flight bundles, ``/status`` traces)."""
-        return {
-            "trace_id": self.context.trace_id,
-            "span_id": self.context.span_id,
-            "parent_id": self.context.parent_id,
-            "name": self.name,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "meta": dict(self.meta),
-        }
-
-
-@dataclass(frozen=True)
 class TraceLink:
     """A cross-trace link (a coalesced request pointing at the shared
     computation's trace)."""
@@ -155,7 +134,7 @@ class TraceLink:
     reason: str
 
     def as_dict(self) -> dict:
-        """JSON-ready form (flight bundles, ``/status`` traces)."""
+        """JSON-ready form (flight bundle ``traces``)."""
         return {
             "trace_id": self.context.trace_id,
             "span_id": self.context.span_id,
@@ -176,7 +155,7 @@ class RequestTracer:
             raise TraceError(f"max_traces must be >= 1, got {max_traces}")
         self.max_traces = max_traces
         self._lock = threading.Lock()
-        self._spans: OrderedDict[str, list[SpanRecord]] = OrderedDict()
+        self._spans: OrderedDict[str, list[Span]] = OrderedDict()
         self._links: OrderedDict[str, list[TraceLink]] = OrderedDict()
         self.evicted = 0
 
@@ -193,12 +172,12 @@ class RequestTracer:
         **meta: object,
     ) -> None:
         """Record one finished span under its trace."""
-        record = SpanRecord(
-            context=context,
+        record = Span(
             name=name,
             start_s=start_s,
-            duration_s=duration_s,
-            meta=tuple(sorted(meta.items())),
+            end_s=start_s + duration_s,
+            meta=meta,
+            context=context,
         )
         with self._lock:
             self._spans.setdefault(context.trace_id, []).append(record)
@@ -222,7 +201,7 @@ class RequestTracer:
             self._links.pop(trace_id, None)
             self.evicted += 1
 
-    def spans_for(self, trace_id: str) -> list[SpanRecord]:
+    def spans_for(self, trace_id: str) -> list[Span]:
         """All recorded spans of one trace (tree order not guaranteed)."""
         with self._lock:
             return list(self._spans.get(trace_id, ()))
@@ -256,38 +235,25 @@ class RequestTracer:
     def to_chrome_events(self, trace_id: str, pid: int = SERVE_PID) -> list[dict]:
         """The Chrome/Perfetto ``traceEvents`` for one trace tree.
 
-        Spans become complete ("X") events on one process track; the
-        span/parent ids ride in ``args`` so the tree is reconstructable,
-        and links become instant ("i") events.
+        Spans become complete ("X") events on one process track, timed
+        from the trace's first span; the span/parent ids ride in
+        ``args`` so the tree is reconstructable, and links become
+        instant ("i") events at the trace's start.
         """
+        spans = self.spans_for(trace_id)
+        origin = min((span.start_s for span in spans), default=0.0)
         events = [chrome_track_name(pid, f"serve trace {trace_id[:8]}")]
-        for record in self.spans_for(trace_id):
-            events.append(
-                {
-                    "name": record.name,
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": 0,
-                    "ts": record.start_s * 1e6,
-                    "dur": record.duration_s * 1e6,
-                    "args": {
-                        "trace_id": record.context.trace_id,
-                        "span_id": record.context.span_id,
-                        "parent_id": record.context.parent_id,
-                        **dict(record.meta),
-                    },
-                }
-            )
-        for link in self.links_for(trace_id):
-            events.append(
-                {
-                    "name": f"link:{link.reason}",
-                    "ph": "i",
-                    "pid": pid,
-                    "tid": 0,
-                    "ts": 0.0,
-                    "s": "p",
-                    "args": link.as_dict(),
-                }
-            )
+        events.extend(span.chrome_event(pid, 0, origin) for span in spans)
+        events.extend(
+            {
+                "name": f"link:{link.reason}",
+                "ph": "i",
+                "pid": pid,
+                "tid": 0,
+                "ts": 0.0,
+                "s": "p",
+                "args": link.as_dict(),
+            }
+            for link in self.links_for(trace_id)
+        )
         return events

@@ -835,12 +835,12 @@ class PlanService:
         except TelemetryError:
             return
         offset = telemetry.anchor.offset_to(self._anchor)
-        for span, span_ctx in zip(
-            telemetry.timeline.spans, telemetry.span_contexts()
-        ):
+        for span in telemetry.timeline.spans:
+            if span.context is None:  # rebuilt worker spans all carry one
+                continue
             duration_s = max(0.0, span.duration_s)
             self.tracer.record(
-                span_ctx,
+                span.context,
                 f"worker:{span.name}",
                 start_s=span.start_s + offset,
                 duration_s=duration_s,
@@ -853,7 +853,7 @@ class PlanService:
                         "serve.engine_phase_s",
                         duration_s,
                         ENGINE_PHASE_BOUNDS,
-                        exemplar=span_ctx.trace_id,
+                        exemplar=span.context.trace_id,
                         help="engine simulation phase inside a worker (seconds)",
                     )
 

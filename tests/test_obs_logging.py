@@ -267,7 +267,7 @@ class TestSweepIntegration:
         configure_logging(level="debug")
         result = run_sweep(GRID, max_requests=SAMPLE, jobs=1, telemetry=True)
         for record in result.telemetry.workers:
-            span_starts = [s["start_s"] for s in record["spans"]]
+            span_starts = [s.start_s for s in record["spans"]]
             for log in record["logs"]:
                 # Aligned log timestamps land inside the aligned span
                 # window (same offset applied to both).

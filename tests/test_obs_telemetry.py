@@ -147,6 +147,54 @@ class TestTraceIdentity:
         }
         assert attempts and workers == expected
 
+    def test_sweep_and_serve_build_the_same_worker_tree(self):
+        """One point through both paths: the same spans below the attempt."""
+
+        def tree(spans, attempt_span_id):
+            # Each span as (name, parent position, meta keys); a parent
+            # is another worker span (by index) or the attempt itself.
+            position = {
+                span.context.span_id: index for index, span in enumerate(spans)
+            }
+            position[attempt_span_id] = "attempt"
+            return [
+                (
+                    span.name.removeprefix("worker:"),
+                    position[span.context.parent_id],
+                    sorted(span.meta),
+                )
+                for span in spans
+            ]
+
+        swept = run_sweep(
+            SweepGrid(sizes=(256,), layouts=("ddl",)),
+            max_requests=2_048,
+            jobs=1,
+            telemetry=True,
+        )
+        (record,) = swept.telemetry.workers
+        attempt = sweep_context(
+            swept.telemetry.run_id, record["point_id"], record["attempt"]
+        )
+        sweep_tree = tree(record["spans"], attempt.span_id)
+
+        tracer = RequestTracer()
+        with PlanService(jobs=1, tracer=tracer) as service:
+            code, envelope, _ = service.handle(
+                {"n": 256, "layouts": ["ddl"], "max_requests": 2_048}
+            )
+        assert code == 200
+        spans = tracer.spans_for(envelope["trace_id"])
+        (serve_attempt,) = [span for span in spans if span.name == "attempt"]
+        workers = [span for span in spans if span.name.startswith("worker:")]
+        serve_tree = tree(workers, serve_attempt.context.span_id)
+
+        assert sweep_tree == [
+            ("point", "attempt", ["attempt", "config", "layout", "n"]),
+            ("simulate", 0, []),
+        ]
+        assert serve_tree == sweep_tree
+
 
 class TestTelemetryEvent:
     def test_round_trip(self):
@@ -214,8 +262,8 @@ class TestRunTelemetryMerge:
         # Same wall instant, perf 7.0 vs 50.0: offset is +43 s, so the
         # span recorded at worker-perf 8.0 lands at parent-perf 51.0.
         assert record["clock_offset_s"] == pytest.approx(43.0)
-        assert record["spans"][0]["start_s"] == pytest.approx(51.0)
-        assert record["spans"][0]["end_s"] == pytest.approx(51.5)
+        assert record["spans"][0].start_s == pytest.approx(51.0)
+        assert record["spans"][0].end_s == pytest.approx(51.5)
 
     def test_run_id_mismatch_rejected(self):
         run = make_run(run_id="expected")
@@ -224,13 +272,16 @@ class TestRunTelemetryMerge:
 
     def test_duplicate_span_ids_namespaced_per_worker(self):
         run = make_run()
-        # Two workers, each with local span id 0 for different points.
+        # Two workers, each with local span index 0 for different points:
+        # the derived span ids still differ.
         run.merge_worker(make_worker(worker_id=111, point_id=0).as_dict())
         run.merge_worker(make_worker(worker_id=222, point_id=1).as_dict())
         ids = [
-            span["id"] for record in run.workers for span in record["spans"]
+            span.context.span_id
+            for record in run.workers
+            for span in record["spans"]
         ]
-        assert ids == ["111/0/0", "222/1/0"]
+        assert len(ids) == 2
         assert len(set(ids)) == len(ids)
 
     def test_queue_wait_derived_from_submit_mark(self):
@@ -273,7 +324,7 @@ class TestChromeTrace:
 
     def test_tracks_and_alignment(self):
         run = make_run()
-        with run.span("execute", tasks=2):
+        with run.timeline.span("execute", tasks=2):
             pass
         run.record_event(EV_CACHE_HIT, point=3)
         run.merge_worker(make_worker(worker_id=111, point_id=0).as_dict())

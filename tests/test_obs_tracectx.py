@@ -92,7 +92,7 @@ class TestRequestTracer:
         )
         spans = tracer.spans_for(root.trace_id)
         assert [s.name for s in spans] == ["request", "attempt"]
-        assert spans[0].meta == (("code", 200),)
+        assert spans[0].meta == {"code": 200}
         assert tracer.spans_for("0" * 32) == []
 
     def test_ring_evicts_oldest_trace(self):
@@ -128,6 +128,24 @@ class TestRequestTracer:
         assert len(snap[0]["spans"]) == 1
         assert len(snap[0]["links"]) == 1
         json.dumps(snap)  # must not raise
+
+    def test_chrome_events_are_timed_from_the_first_span(self):
+        # Spans carry perf_counter seconds hours from the clock's zero;
+        # every event, link instants included, lands in the trace extent.
+        tracer = RequestTracer()
+        root = TraceContext.root("req-1")
+        tracer.record(root, "request", start_s=26_665.0, duration_s=0.25)
+        tracer.record(
+            root.child("attempt"), "attempt", start_s=26_665.1, duration_s=0.1
+        )
+        tracer.link(root, TraceContext.root("req-2").trace_id, "coalesced")
+        events = tracer.to_chrome_events(root.trace_id)
+        timed = [e for e in events if e["ph"] != "M"]
+        assert {e["ph"] for e in timed} == {"X", "i"}
+        extent_us = 0.25e6
+        for event in timed:
+            assert 0.0 <= event["ts"] <= extent_us
+            assert event["ts"] + event.get("dur", 0.0) <= extent_us + 1e-3
 
     def test_chrome_events_form_one_tree(self):
         tracer = RequestTracer()
