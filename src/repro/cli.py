@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro.core import (
     AnalyticModel,
@@ -49,6 +50,9 @@ from repro.errors import ReproError
 from repro.fft import StreamingFFT1D
 from repro.layouts import optimal_block_geometry
 from repro.memory3d import pact15_hmc_config
+
+if TYPE_CHECKING:
+    from repro.sweep import RetryPolicy
 
 
 def _add_sizes(parser: argparse.ArgumentParser) -> None:
@@ -80,6 +84,39 @@ def _add_sweep_exec_flags(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="disable the on-disk result cache",
+    )
+
+
+def _add_retry_flags(parser: argparse.ArgumentParser, retries_default: int) -> None:
+    """The retry-policy flags of the commands that run killable attempts."""
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="per-attempt wall-clock budget in seconds; a hung worker "
+             "process is killed and the attempt retried or quarantined",
+    )
+    parser.add_argument(
+        "--retries",
+        type=int,
+        default=retries_default,
+        help="extra attempts per failing point (exponential backoff with "
+             "deterministic jitter between attempts)",
+    )
+    parser.add_argument(
+        "--backoff",
+        type=float,
+        default=0.1,
+        help="base backoff delay in seconds before the first retry",
+    )
+
+
+def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
+    """The :class:`~repro.sweep.RetryPolicy` of :func:`_add_retry_flags`."""
+    from repro.sweep import RetryPolicy
+
+    return RetryPolicy(
+        timeout_s=args.timeout, retries=args.retries, backoff_s=args.backoff
     )
 
 
@@ -373,7 +410,6 @@ def _write_sweep_telemetry(args: argparse.Namespace, result) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweep import (
-        RetryPolicy,
         SweepGrid,
         WorkerChaos,
         load_grid_spec,
@@ -392,11 +428,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     policy = None
     if args.timeout is not None or args.retries:
-        policy = RetryPolicy(
-            timeout_s=args.timeout,
-            retries=args.retries,
-            backoff_s=args.backoff,
-        )
+        policy = _retry_policy(args)
     chaos = None
     if args.chaos_fail or args.chaos_hang:
         chaos = WorkerChaos(
@@ -472,16 +504,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.flight import FlightRecorder
     from repro.obs.tracectx import RequestTracer
     from repro.serve import CircuitBreaker, PlanService, serve_forever
-    from repro.sweep import RetryPolicy
 
-    policy = RetryPolicy(
-        timeout_s=args.timeout,
-        retries=args.retries,
-        backoff_s=args.backoff,
-    )
     service = PlanService(
         cache=_sweep_cache(args),
-        policy=policy,
+        policy=_retry_policy(args),
         jobs=args.jobs if args.jobs > 0 else 4,
         queue_limit=args.queue_limit,
         default_deadline_s=args.deadline,
@@ -873,26 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the merged cross-worker metrics registry",
     )
     _add_sweep_exec_flags(pw)
-    pw.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-attempt wall-clock budget in seconds; a hung worker "
-             "process is killed and the attempt retried or quarantined",
-    )
-    pw.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="extra attempts per failing point (exponential backoff with "
-             "deterministic jitter between attempts)",
-    )
-    pw.add_argument(
-        "--backoff",
-        type=float,
-        default=0.1,
-        help="base backoff delay in seconds before the first retry",
-    )
+    _add_retry_flags(pw, retries_default=0)
     pw.add_argument(
         "--checkpoint",
         type=str,
@@ -998,25 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=10.0,
         help="graceful-shutdown budget for draining in-flight requests",
     )
-    pz.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-attempt worker budget in seconds (hung workers are "
-             "killed and retried)",
-    )
-    pz.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="extra attempts per failing point computation",
-    )
-    pz.add_argument(
-        "--backoff",
-        type=float,
-        default=0.1,
-        help="base backoff delay in seconds before the first retry",
-    )
+    _add_retry_flags(pz, retries_default=1)
     pz.add_argument(
         "--breaker-threshold",
         type=int,

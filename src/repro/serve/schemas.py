@@ -30,7 +30,7 @@ from repro.serialization import (
 from repro.sweep.cache import ResultCache
 from repro.sweep.grid import ConfigVariant, SweepGrid
 from repro.sweep.results import SweepResult
-from repro.sweep.runner import DEFAULT_SWEEP_REQUESTS, validate_grid
+from repro.sweep.runner import DEFAULT_SWEEP_REQUESTS, point_payload, validate_grid
 
 #: Schema tag of every plan response envelope.  v2 added ``trace_id``
 #: (PR 10); the v1 contract below stays declared for old captures.
@@ -144,11 +144,7 @@ class PlanRequest:
         config_dict = self.resolved_config(base)
         payloads = []
         for point in grid.points():
-            payload = {
-                "point": point.as_dict(),
-                "config": config_dict,
-                "max_requests": self.max_requests,
-            }
+            payload = point_payload(point, config_dict, self.max_requests)
             payloads.append((ResultCache.key_for(payload), payload))
         return payloads
 

@@ -18,8 +18,10 @@ trusts:
   ``asyncio.wait_for``; cancellation propagates through a
   ``threading.Event`` into :func:`run_attempt`, which terminates the
   abandoned child process.
-* **Retries** -- transient worker failures replay under the sweep's
-  :class:`~repro.sweep.resilience.RetryPolicy` (deterministic backoff).
+* **Retries** -- transient worker failures replay through the sweep's
+  own retry loop, :func:`~repro.sweep.resilience.attempt_point`, under a
+  :class:`~repro.sweep.resilience.RetryPolicy` (deterministic backoff),
+  so an exhausted point fails with the sweep's quarantine wording.
 * **Circuit breaking** -- consecutive worker failures trip the
   :class:`~repro.serve.breaker.CircuitBreaker`; while OPEN the service
   answers from cache only (``"degraded": true`` envelopes, ``/readyz``
@@ -75,6 +77,7 @@ from repro.sweep.resilience import (
     QuarantineReason,
     RetryPolicy,
     WorkerChaos,
+    attempt_point,
     run_attempt,
 )
 
@@ -714,24 +717,44 @@ class PlanService:
         cancel_event: threading.Event,
         ctx: TraceContext,
     ) -> dict[str, Any] | None:
-        """Pool-thread body: retries of one killable child-process attempt.
+        """Pool-thread body: one point through the sweep's retry loop.
 
-        Returns the point result, ``None`` when cancelled, or raises
-        :class:`_PointFailure` after the policy is exhausted.  Breaker
-        outcomes are recorded here, per point.  With a tracer attached,
-        each attempt ships its trace context into the worker child and
-        folds the returned telemetry spans back into the request tree;
-        the task payload mutations happen *after* the cache key is
-        fixed, so results and keys are byte-identical either way.
+        Runs :func:`~repro.sweep.resilience.attempt_point` over killable
+        child-process attempts.  Returns the point result, ``None`` when
+        cancelled, or raises :class:`_PointFailure` after the policy is
+        exhausted.  Breaker outcomes are recorded here, per point.  With
+        a tracer attached, each attempt ships its trace context into the
+        worker child and folds the returned telemetry spans back into
+        the request tree; the task payload gains them *after* the cache
+        key is fixed, so results and keys are byte-identical either way.
         """
-        task = dict(payload)
-        task["index"] = 0
-        task["engine"] = self.engine
+        task = dict(payload, index=0, engine=self.engine)
         point_start_s = time.perf_counter()
         try:
-            return self._attempt_loop(
-                task, key, payload, cancel_event, ctx
+            settled = attempt_point(
+                task,
+                self.policy,
+                run_attempt,
+                context=ctx if self.tracer is not None else None,
+                chaos=self.chaos,
+                cancel_event=cancel_event,
             )
+            self._record_attempts(settled["attempts"], ctx)
+            if settled["status"] == "cancelled":
+                return None
+            if settled["status"] == "ok":
+                outcome = settled["outcome"]
+                self._merge_worker_trace(outcome.get("telemetry"))
+                self.breaker.record_success()
+                if self.cache is not None:
+                    self.cache.put(key, payload, outcome["result"])
+                return outcome["result"]
+            failure = settled["failure"]
+            self.breaker.record_failure()
+            with self._metrics_lock:
+                reason = failure["reason"]
+                self._failure_reasons[reason] = self._failure_reasons.get(reason, 0) + 1
+            raise _PointFailure(failure["error"], failure["message"], failure["reason"])
         finally:
             if self.tracer is not None:
                 self.tracer.record(
@@ -742,83 +765,30 @@ class PlanService:
                     key=key[:12],
                 )
 
-    def _attempt_loop(
-        self,
-        task: dict[str, Any],
-        key: str,
-        payload: dict[str, Any],
-        cancel_event: threading.Event,
-        ctx: TraceContext,
-    ) -> dict[str, Any] | None:
-        """The retrying attempt loop of :meth:`_compute_point`."""
-        last_error = "SweepExecutionError"
-        last_message = "no attempt ran"
-        last_reason = QuarantineReason.EXCEPTION
-        for attempt in range(1, self.policy.max_attempts + 1):
-            if cancel_event.is_set():
-                return None
-            attempt_task = dict(task)
-            attempt_task["attempt"] = attempt
-            chaos = self.chaos
-            if chaos is not None:
-                attempt_task["chaos"] = chaos.as_dict()
-            attempt_ctx = ctx.child("attempt", attempt)
-            if self.tracer is not None:
-                attempt_task["tracectx"] = attempt_ctx.as_dict()
-            attempt_start_s = time.perf_counter()
-            status = run_attempt(
-                attempt_task, self.policy.timeout_s, cancel_event=cancel_event
-            )
-            attempt_duration_s = float(
-                status.get("duration_s", time.perf_counter() - attempt_start_s)
-            )
-            with self._metrics_lock:
+    def _record_attempts(
+        self, attempts: list[dict[str, Any]], ctx: TraceContext
+    ) -> None:
+        """``serve.attempt_s`` and the tracer's ``attempt`` spans of a point."""
+        with self._metrics_lock:
+            for record in attempts:
                 observe_latency(
                     self._latency,
                     "serve.attempt_s",
-                    attempt_duration_s,
+                    record["duration_s"],
                     ATTEMPT_BOUNDS,
                     exemplar=ctx.trace_id,
                     help="one killable worker attempt (seconds)",
                 )
-            if self.tracer is not None:
+        if self.tracer is not None:
+            for record in attempts:
                 self.tracer.record(
-                    attempt_ctx,
+                    record["context"],
                     "attempt",
-                    start_s=attempt_start_s,
-                    duration_s=attempt_duration_s,
-                    attempt=attempt,
-                    status=status["status"],
+                    start_s=record["start_s"],
+                    duration_s=record["duration_s"],
+                    attempt=record["attempt"],
+                    status=record["status"],
                 )
-            if status["status"] == "ok":
-                result = status["outcome"]["result"]
-                self._merge_worker_trace(status["outcome"].get("telemetry"))
-                self.breaker.record_success()
-                if self.cache is not None:
-                    self.cache.put(
-                        key,
-                        {
-                            "point": payload["point"],
-                            "config": payload["config"],
-                            "max_requests": payload["max_requests"],
-                        },
-                        result,
-                    )
-                return result
-            if status["status"] == "cancelled":
-                return None
-            last_error = status.get("error", status["status"])
-            last_message = status.get("message", f"attempt {status['status']}")
-            last_reason = QuarantineReason(status["reason"])
-            if attempt < self.policy.max_attempts:
-                if cancel_event.wait(self.policy.backoff_for(0, attempt)):
-                    return None
-        self.breaker.record_failure()
-        with self._metrics_lock:
-            self._failure_reasons[last_reason.value] = (
-                self._failure_reasons.get(last_reason.value, 0) + 1
-            )
-        raise _PointFailure(last_error, last_message, last_reason.value)
 
     def _merge_worker_trace(self, payload: dict[str, Any] | None) -> None:
         """Fold a worker child's telemetry spans into the request trace.

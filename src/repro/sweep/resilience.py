@@ -15,6 +15,9 @@ point can never take the grid down:
   recovery machinery is exercised by the real failure path;
 * :func:`run_attempt` -- one isolated attempt of one point in a
   killable child process (a hung worker is terminated, not waited on);
+* :func:`attempt_point` -- the one retry loop: numbered attempts under a
+  policy, with backoff, cancellation and a quarantine record at the end,
+  shared by the sweep runner and the serving layer;
 * :class:`SweepCheckpoint` -- periodic atomic snapshots of completed
   points keyed by a digest of the full sweep identity, replayed by
   ``--resume`` so an interrupted sweep continues instead of restarting.
@@ -31,13 +34,17 @@ import hashlib
 import json
 import multiprocessing
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigError, SweepExecutionError
 from repro.obs.logging import get_logger
 from repro.serialization import stable_digest
+
+if TYPE_CHECKING:
+    from repro.obs.tracectx import TraceContext
 
 #: Schema tag stamped into every checkpoint file.
 CHECKPOINT_SCHEMA = "repro-sweep-checkpoint/v1"
@@ -369,6 +376,103 @@ def failure_record(
         "timed_out": timed_out,
         "reason": QuarantineReason(reason).value,
     }
+
+
+#: ``run_attempt`` status -> ``(error, message)`` of its quarantine
+#: record; an ``error`` status reports the worker's own exception.
+_FAILURE_TEXT = {
+    "timeout": (
+        "TimeoutError",
+        "attempt exceeded the {timeout_s}s budget and was killed",
+    ),
+    "crashed": ("WorkerCrash", "worker died without reporting (exit code {exitcode})"),
+}
+
+
+def attempt_point(
+    task: dict[str, Any],
+    policy: RetryPolicy,
+    run: Callable[..., dict[str, Any]],
+    *,
+    context: TraceContext | None = None,
+    chaos: WorkerChaos | None = None,
+    cancel_event: Any | None = None,
+) -> dict[str, Any]:
+    """Run one point under ``policy``: the retry loop of sweep and serve.
+
+    Attempt ``k`` calls ``run(payload, policy.timeout_s,
+    cancel_event=cancel_event)`` -- :func:`run_attempt`, passed in so
+    callers keep their own name for it -- on a copy of ``task`` numbered
+    ``k`` that carries ``chaos`` and, when ``context`` is given, the
+    trace context ``context.child("attempt", k)``.  A failed attempt
+    backs off ``policy.backoff_for(index, k)`` seconds, waiting on
+    ``cancel_event`` when one is given.
+
+    Returns ``{"status": "ok", "outcome": ...}``, ``{"status": "failed",
+    "failure": <failure_record>}`` or ``{"status": "cancelled"}`` (the
+    event was set before or during an attempt or during a backoff),
+    each with ``retries`` and an ``attempts`` log of ``{attempt, status,
+    start_s, duration_s, context}`` records.
+    """
+    # Attempt timings are telemetry about this execution, never part of
+    # a result payload (the same carve-out as run_attempt's duration_s).
+    import time
+
+    attempts: list[dict[str, Any]] = []
+
+    def settled(status: str, **outcome: Any) -> dict[str, Any]:
+        retries = max(len(attempts) - 1, 0)
+        return {"status": status, **outcome, "retries": retries, "attempts": attempts}
+
+    for attempt in range(1, policy.max_attempts + 1):
+        if cancel_event is not None and cancel_event.is_set():
+            return settled("cancelled")
+        payload = dict(task, attempt=attempt)
+        attempt_ctx = None if context is None else context.child("attempt", attempt)
+        if attempt_ctx is not None:
+            payload["tracectx"] = attempt_ctx.as_dict()
+        if chaos is not None:
+            payload["chaos"] = chaos.as_dict()
+        start_s = time.perf_counter()  # repro: ignore[DET001]
+        status = run(payload, policy.timeout_s, cancel_event=cancel_event)
+        end_s = time.perf_counter()  # repro: ignore[DET001]
+        attempts.append(
+            {
+                "attempt": attempt,
+                "status": status["status"],
+                "start_s": start_s,
+                "duration_s": float(status.get("duration_s", end_s - start_s)),
+                "context": attempt_ctx,
+            }
+        )
+        if status["status"] == "ok":
+            return settled("ok", outcome=status["outcome"])
+        if status["status"] == "cancelled":
+            return settled("cancelled")
+        if attempt < policy.max_attempts:
+            delay = policy.backoff_for(task["index"], attempt)
+            if cancel_event is None:
+                time.sleep(delay)
+            elif cancel_event.wait(delay):
+                return settled("cancelled")
+    if status["status"] in _FAILURE_TEXT:
+        error, template = _FAILURE_TEXT[status["status"]]
+        message = template.format(
+            timeout_s=policy.timeout_s, exitcode=status.get("exitcode")
+        )
+    else:
+        error = status.get("error", "Exception")
+        message = status.get("message", "")
+    failure = failure_record(
+        index=task["index"],
+        point=task["point"],
+        error=error,
+        message=message,
+        attempts=len(attempts),
+        timed_out=status["status"] == "timeout",
+        reason=status["reason"],
+    )
+    return settled("failed", failure=failure)
 
 
 # ------------------------------------------------------------------ checkpoint

@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from collections.abc import Callable, Iterator
@@ -47,11 +47,11 @@ from repro.serialization import system_from_dict, system_to_dict, system_with_ov
 from repro.sweep.cache import CACHE_VERSION, ResultCache
 from repro.sweep.grid import SweepGrid, SweepPoint
 from repro.sweep.resilience import (
-    QuarantineReason,
     RetryPolicy,
     SweepCheckpoint,
     WorkerChaos,
     apply_chaos,
+    attempt_point,
     failure_record,
     run_attempt,
 )
@@ -194,8 +194,8 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
     :class:`~repro.obs.tracectx.TraceContext` dict) the worker records a
     local span timeline around the simulation and ships the serialized
     :class:`~repro.obs.telemetry.WorkerTelemetry` payload back on the
-    outcome; without it the body is exactly the pre-telemetry code path.
-    A sweep task's ``run_id`` only tags the worker's log records.
+    outcome; without it the spans are no-ops.  A sweep task's ``run_id``
+    only tags the worker's log records.
     """
     attempt = task.get("attempt", 1)
     chaos = task.get("chaos")
@@ -206,24 +206,21 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
         worker_tel = WorkerTelemetry.start(
             TraceContext.from_dict(task["tracectx"]), task["index"], attempt
         )
+    timeline = worker_tel.timeline if worker_tel is not None else None
     config = system_from_dict(task["config"])
     point = SweepPoint(**task["point"])
     registry = MetricsRegistry()
     engine = task.get("engine", "vector")
-    if worker_tel is not None:
-        with worker_tel.timeline.span(
-            "point",
-            n=point.n,
-            layout=point.layout,
-            config=point.config_label,
-            attempt=attempt,
-        ):
-            with worker_tel.timeline.span("simulate"):
-                result = point_result(
-                    point, config, task["max_requests"], engine=engine
-                )
-    else:
-        result = point_result(point, config, task["max_requests"], engine=engine)
+    with span_or_null(
+        timeline,
+        "point",
+        n=point.n,
+        layout=point.layout,
+        config=point.config_label,
+        attempt=attempt,
+    ):
+        with span_or_null(timeline, "simulate"):
+            result = point_result(point, config, task["max_requests"], engine=engine)
     _record_point_metrics(registry, result)
     outcome = {
         "index": task["index"],
@@ -244,163 +241,102 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
 
 
 # -------------------------------------------------------------- outcome plumbing
-def _attempt_point(
-    task: dict[str, Any],
-    policy: RetryPolicy,
-    chaos: WorkerChaos | None,
-) -> dict[str, Any]:
-    """Run one point under the retry policy in killable child processes.
-
-    Returns ``{"status": "ok", "outcome": ..., "retries": n}`` or
-    ``{"status": "failed", "failure": ..., "retries": n}``; both carry
-    an ``attempts_log`` of ``{attempt, status, duration_s}`` records the
-    runner turns into RETRY telemetry events.
-    """
-    index = task["index"]
-    last_error = "SweepExecutionError"
-    last_message = "no attempt ran"
-    last_reason = QuarantineReason.EXCEPTION
-    attempts_log: list[dict[str, Any]] = []
-    for attempt in range(1, policy.max_attempts + 1):
-        payload = dict(task)
-        payload["attempt"] = attempt
-        if "run_id" in task:
-            payload["tracectx"] = sweep_context(
-                task["run_id"], index, attempt
-            ).as_dict()
-        if chaos is not None:
-            payload["chaos"] = chaos.as_dict()
-        status = run_attempt(payload, policy.timeout_s)
-        attempts_log.append(
-            {
-                "attempt": attempt,
-                "status": status["status"],
-                "duration_s": status.get("duration_s", 0.0),
-            }
-        )
-        if status["status"] == "ok":
-            return {
-                "status": "ok",
-                "outcome": status["outcome"],
-                "retries": attempt - 1,
-                "attempts_log": attempts_log,
-            }
-        if status["status"] == "timeout":
-            last_error = "TimeoutError"
-            last_message = (
-                f"attempt exceeded the {policy.timeout_s}s budget and was killed"
-            )
-            last_reason = QuarantineReason.TIMEOUT
-        elif status["status"] == "crashed":
-            last_error = "WorkerCrash"
-            last_message = (
-                f"worker died without reporting (exit code {status.get('exitcode')})"
-            )
-            last_reason = QuarantineReason.WORKER_CRASH
-        else:
-            last_error = status.get("error", "Exception")
-            last_message = status.get("message", "")
-            last_reason = QuarantineReason.EXCEPTION
-        if attempt < policy.max_attempts:
-            time.sleep(policy.backoff_for(index, attempt))
-    failure = failure_record(
-        index=index,
-        point=task["point"],
-        error=last_error,
-        message=last_message,
-        attempts=policy.max_attempts,
-        timed_out=last_reason is QuarantineReason.TIMEOUT,
-        reason=last_reason,
-    )
+def _execute_entry(task: dict[str, Any]) -> dict[str, Any]:
+    """Pool body without a retry policy: one attempt in this process."""
     return {
-        "status": "failed",
-        "failure": failure,
-        "retries": policy.retries,
-        "attempts_log": attempts_log,
+        "status": "ok",
+        "outcome": _execute_task(task),
+        "retries": 0,
+        "attempts": [],
     }
 
 
-def _record_retry_events(
-    run_tel: RunTelemetry, entry: dict[str, Any]
-) -> None:
-    """Turn one outcome's failed attempts into RETRY telemetry events."""
-    if entry["status"] == "ok":
-        index = entry["outcome"]["index"]
-    else:
-        index = entry["failure"]["index"]
-    for record in entry.get("attempts_log", []):
-        if record["status"] == "ok":
-            continue
-        run_tel.record_event(
-            EV_RETRY,
-            point=index,
-            attempt=record["attempt"],
-            status=record["status"],
-            duration_s=record["duration_s"],
+def _settle(task: dict[str, Any], call: Callable[[], dict[str, Any]]) -> dict[str, Any]:
+    """The entry ``call()`` returns for ``task``; an exception quarantines it."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - quarantine, never abort
+        failure = failure_record(
+            index=task["index"],
+            point=task["point"],
+            error=type(exc).__name__,
+            message=str(exc),
+            attempts=1,
         )
+        return {"status": "failed", "failure": failure, "retries": 0, "attempts": []}
 
 
-def _iter_outcomes_fast(
-    tasks: list[dict[str, Any]], jobs: int
+def _record_retry_events(
+    run_tel: RunTelemetry, index: int, attempts: list[dict[str, Any]]
+) -> None:
+    """Turn one point's failed attempts into RETRY telemetry events."""
+    for record in attempts:
+        if record["status"] != "ok":
+            run_tel.record_event(
+                EV_RETRY,
+                point=index,
+                attempt=record["attempt"],
+                status=record["status"],
+                duration_s=record["duration_s"],
+            )
+
+
+def _drain(
+    pool: Executor,
+    body: Callable[[dict[str, Any]], dict[str, Any]],
+    tasks: list[dict[str, Any]],
 ) -> Iterator[dict[str, Any]]:
-    """Plain execution: inline or process pool, exceptions quarantined."""
-
-    def outcome_of(task: dict[str, Any], call: Callable[[], Any]) -> dict[str, Any]:
-        try:
-            return {"status": "ok", "outcome": call(), "retries": 0}
-        except Exception as exc:  # noqa: BLE001 - quarantine, never abort
-            return {
-                "status": "failed",
-                "failure": failure_record(
-                    index=task["index"],
-                    point=task["point"],
-                    error=type(exc).__name__,
-                    message=str(exc),
-                    attempts=1,
-                ),
-                "retries": 0,
-            }
-
-    if jobs == 1 or len(tasks) == 1:
-        for task in tasks:
-            yield outcome_of(task, lambda task=task: _execute_task(task))
-        return
-    # Workers are forked before this module's thread pool exists (the
-    # resilient path uses _attempt_point's fresh children instead), and
-    # the worker body re-imports everything it touches; spawn would add
-    # a full interpreter+numpy start per worker for no safety gain.
-    # repro: ignore[CONC003]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        futures: dict[Future[Any], dict[str, Any]] = {
-            pool.submit(_execute_task, task): task for task in tasks
-        }
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                task = futures[future]
-                yield outcome_of(task, future.result)
+    """Submit every task to ``pool``; yield entries as they complete."""
+    futures = {pool.submit(body, task): task for task in tasks}
+    pending = set(futures)
+    while pending:
+        done, pending = wait(pending, return_when=FIRST_COMPLETED)
+        for future in done:
+            yield _settle(futures[future], future.result)
 
 
-def _iter_outcomes_resilient(
+def _iter_outcomes(
     tasks: list[dict[str, Any]],
     jobs: int,
-    policy: RetryPolicy,
-    chaos: WorkerChaos | None,
+    body: Callable[[dict[str, Any]], dict[str, Any]],
+    isolated: bool,
 ) -> Iterator[dict[str, Any]]:
-    """Isolated-attempt execution: worker threads drive child processes."""
-    if jobs == 1 or len(tasks) == 1:
+    """Run ``body`` over ``tasks`` inline or on a pool, in completion order.
+
+    ``isolated`` bodies start their own child process per attempt
+    (:func:`~repro.sweep.resilience.attempt_point`), so threads drive
+    them; other bodies compute in the pool's worker processes.
+    """
+    workers = min(jobs, len(tasks))
+    if workers == 1:
         for task in tasks:
-            yield _attempt_point(task, policy, chaos)
-        return
-    with ThreadPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        pending = {
-            pool.submit(_attempt_point, task, policy, chaos) for task in tasks
-        }
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                yield future.result()
+            yield _settle(task, lambda task=task: body(task))
+    elif isolated:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from _drain(pool, body, tasks)
+    else:
+        # Workers are forked before this module's thread pool exists (the
+        # isolated path forks fresh attempt children instead), and the
+        # worker body re-imports everything it touches; spawn would add
+        # a full interpreter+numpy start per worker for no safety gain.
+        # repro: ignore[CONC003]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from _drain(pool, body, tasks)
+
+
+def point_payload(
+    point: SweepPoint, config_dict: dict[str, Any], max_requests: int
+) -> dict[str, Any]:
+    """The ``{point, config, max_requests}`` payload a point's cache key hashes.
+
+    The sweep runner and the serving layer both build it here, so their
+    cache keys -- and cached results -- are shared.
+    """
+    return {
+        "point": point.as_dict(),
+        "config": config_dict,
+        "max_requests": max_requests,
+    }
 
 
 def run_sweep(
@@ -529,16 +465,13 @@ def run_sweep(
     log.info("sweep started", points=len(points), jobs=jobs, resumed=resumed)
 
     tasks: list[dict[str, Any]] = []
+    # index -> (cache key, payload) of each point to cache once computed.
+    to_store: dict[int, tuple[str, dict[str, Any]]] = {}
     cached = 0
     for index, point in enumerate(points):
         if results[index] is not None:
             continue
-        payload = {
-            "point": point.as_dict(),
-            "config": config_dicts[point.config_label],
-            "max_requests": max_requests,
-        }
-        key = None
+        payload = point_payload(point, config_dicts[point.config_label], max_requests)
         if cache is not None:
             key = cache.key_for(payload)
             hit = cache.get(key)
@@ -553,7 +486,8 @@ def run_sweep(
                     run_tel.record_event(EV_CACHE_HIT, point=index)
                 log.debug("cache hit", point=index)
                 continue
-        task = {"index": index, "key": key, **payload}
+            to_store[index] = (key, payload)
+        task = {"index": index, **payload}
         # Attached AFTER key_for(payload): the engine choice (like the
         # trace context below) must never influence cache identity --
         # both engines produce the identical result document.
@@ -569,18 +503,24 @@ def run_sweep(
     retries_total = 0
     simulated = 0
     outcomes_by_index: dict[int, dict[str, Any]] = {}
-    tasks_by_index = {task["index"]: task for task in tasks}
 
     if tasks:
         if run_tel is not None:
             for task in tasks:
                 run_tel.mark_submit(task["index"])
         if policy is not None or chaos is not None:
-            stream = _iter_outcomes_resilient(
-                tasks, jobs, policy or RetryPolicy(), chaos
-            )
+            retry = policy or RetryPolicy()
+            root = TraceContext.root(run_tel.run_id) if run_tel is not None else None
+
+            def attempt_body(task: dict[str, Any]) -> dict[str, Any]:
+                point_ctx = None if root is None else root.child("point", task["index"])
+                return attempt_point(
+                    task, retry, run_attempt, context=point_ctx, chaos=chaos
+                )
+
+            stream = _iter_outcomes(tasks, jobs, attempt_body, isolated=True)
         else:
-            stream = _iter_outcomes_fast(tasks, jobs)
+            stream = _iter_outcomes(tasks, jobs, _execute_entry, isolated=False)
         since_snapshot = 0
         with span_or_null(
             run_tel.timeline if run_tel is not None else None,
@@ -590,11 +530,12 @@ def run_sweep(
         ):
             for entry in stream:
                 retries_total += entry["retries"]
+                ok = entry["status"] == "ok"
+                index = (entry["outcome"] if ok else entry["failure"])["index"]
                 if run_tel is not None:
-                    _record_retry_events(run_tel, entry)
-                if entry["status"] == "ok":
+                    _record_retry_events(run_tel, index, entry["attempts"])
+                if ok:
                     outcome = entry["outcome"]
-                    index = outcome["index"]
                     result = _shared_strings(outcome["result"])
                     results[index] = result
                     completed[index] = result
@@ -602,53 +543,34 @@ def run_sweep(
                     simulated += 1
                     worker_id: int | None = None
                     if run_tel is not None and "telemetry" in outcome:
-                        worker_record = run_tel.merge_worker(
-                            outcome["telemetry"]
-                        )
-                        worker_id = worker_record["worker_id"]
+                        record = run_tel.merge_worker(outcome["telemetry"])
+                        worker_id = record["worker_id"]
                     if status is not None:
-                        attempts_log = entry.get("attempts_log") or []
+                        attempts = entry["attempts"]
                         status.mark_ok(
                             index,
                             worker_id=worker_id,
                             metrics=outcome["metrics"],
                             duration_s=(
-                                attempts_log[-1].get("duration_s")
-                                if attempts_log
-                                else None
+                                attempts[-1]["duration_s"] if attempts else None
                             ),
                         )
-                        if entry["retries"]:
-                            status.mark_retry(index, entry["retries"])
-                    task = tasks_by_index[index]
                     if cache is not None:
-                        cache.put(
-                            task["key"],
-                            {
-                                "point": task["point"],
-                                "config": task["config"],
-                                "max_requests": task["max_requests"],
-                            },
-                            result,
-                        )
+                        cache.put(*to_store[index], result)
                 else:
                     failure = entry["failure"]
                     failures.append(failure)
                     if status is not None:
-                        status.mark_failed(
-                            failure["index"], reason=failure.get("reason")
-                        )
-                        if entry["retries"]:
-                            status.mark_retry(
-                                failure["index"], entry["retries"]
-                            )
+                        status.mark_failed(index, reason=failure["reason"])
                     log.warning(
                         "point quarantined",
-                        point=failure["index"],
+                        point=index,
                         error=failure["error"],
-                        reason=failure.get("reason"),
+                        reason=failure["reason"],
                         attempts=failure["attempts"],
                     )
+                if status is not None and entry["retries"]:
+                    status.mark_retry(index, entry["retries"])
                 since_snapshot += 1
                 if ckpt is not None and since_snapshot >= checkpoint_every:
                     ckpt.save(

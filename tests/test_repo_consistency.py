@@ -166,3 +166,28 @@ class TestPhaseTraceLayering:
             and not module.startswith("repro.trace.")
         }
         assert not offenders, f"build phase traces with phase_trace: {offenders}"
+
+
+class TestBenchLayerTargets:
+    """The benchmark's traced run wraps program callables by name
+    (``bench/layers.py``); a refactor that renames or moves one would
+    silently drop its layer spans, so every target must still resolve."""
+
+    def test_install_finds_every_target(self, tmp_path):
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            f"sys.path[:0] = [{str(ROOT / 'bench')!r}, {str(ROOT / 'src')!r}]\n"
+            "import layers\n"
+            f"print(layers.install(layers.SpanRecorder({str(tmp_path)!r})))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"

@@ -491,6 +491,34 @@ class TestServiceHTTP:
 
 
 # -------------------------------------------------------------------- tracing
+class TestFailureParity:
+    """A point that fails the same way fails with the same words in a
+    sweep's quarantine record and in a serve 500 envelope."""
+
+    @pytest.mark.parametrize(
+        "chaos",
+        [WorkerChaos(hang_points=(0,)), WorkerChaos(fail_points=(0,))],
+        ids=["hang", "fail"],
+    )
+    def test_sweep_and_serve_report_the_same_failure(self, chaos):
+        policy = RetryPolicy(timeout_s=0.5, retries=0)
+        swept = run_sweep(
+            SweepGrid(sizes=(256,), layouts=("row-major",)),
+            max_requests=2048,
+            jobs=1,
+            policy=policy,
+            chaos=chaos,
+        )
+        (failure,) = swept.failures
+        with PlanService(jobs=1, policy=policy, chaos=chaos) as service:
+            code, envelope, _ = service.handle(
+                {"n": 256, "layouts": ["row-major"], "max_requests": 2048}
+            )
+        assert code == 500
+        served = {key: envelope[key] for key in ("error", "message", "reason")}
+        assert served == {key: failure[key] for key in served}
+
+
 class TestRequestTracing:
     def test_every_response_carries_trace_id_and_traceparent(self):
         with PlanService(jobs=1) as service, PlanServer(service) as server:

@@ -1,11 +1,14 @@
 """The design-space sweep engine: grids, cache, runner, determinism."""
 
 import json
+import threading
 
 import pytest
 
 from repro.cli import main
 from repro.errors import ConfigError, SweepExecutionError
+from repro.obs.telemetry import sweep_context
+from repro.obs.tracectx import TraceContext
 from repro.serialization import stable_digest
 from repro.sweep import (
     CACHE_VERSION,
@@ -24,7 +27,7 @@ from repro.sweep import (
     reason_for_status,
     run_sweep,
 )
-from repro.sweep.resilience import failure_record
+from repro.sweep.resilience import attempt_point, failure_record
 
 #: Cheap but non-trivial request budget for engine tests.
 SAMPLE = 2_048
@@ -360,6 +363,157 @@ class TestQuarantineReasons:
             chaos=WorkerChaos(fail_points=(0,)),
         )
         assert [f["reason"] for f in result.failures] == ["exception"]
+
+
+class _BackoffEvent:
+    """A cancel event that records backoff waits; ``cancel_after`` of them
+    report the event set (``None``: never)."""
+
+    def __init__(self, cancel_after=None):
+        self.waits = []
+        self.cancel_after = cancel_after
+
+    def is_set(self):
+        return False
+
+    def wait(self, delay):
+        self.waits.append(delay)
+        return self.cancel_after is not None and len(self.waits) >= self.cancel_after
+
+
+class TestAttemptPoint:
+    """The one retry loop, driven by a scripted ``run`` (no child processes)."""
+
+    TASK = {"index": 3, "point": {"n": 256, "layout": "row-major"}}
+
+    #: Non-ok status -> (attempt status dict, error, message, reason).
+    FAILURES = {
+        "timeout": (
+            {"status": "timeout", "reason": "timeout", "duration_s": 0.5},
+            "TimeoutError",
+            "attempt exceeded the 0.5s budget and was killed",
+            QuarantineReason.TIMEOUT,
+        ),
+        "crashed": (
+            {"status": "crashed", "exitcode": -9, "reason": "worker-crash",
+             "duration_s": 0.25},
+            "WorkerCrash",
+            "worker died without reporting (exit code -9)",
+            QuarantineReason.WORKER_CRASH,
+        ),
+        "error": (
+            {"status": "error", "error": "ValueError", "message": "bad {n}",
+             "reason": "exception", "duration_s": 0.125},
+            "ValueError",
+            "bad {n}",
+            QuarantineReason.EXCEPTION,
+        ),
+    }
+
+    @staticmethod
+    def scripted(*statuses):
+        """A fake ``run_attempt`` answering ``statuses`` in turn."""
+        calls = []
+
+        def run(payload, timeout_s, cancel_event=None):
+            calls.append((payload, timeout_s, cancel_event))
+            return dict(statuses[min(len(calls), len(statuses)) - 1])
+
+        run.calls = calls
+        return run
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        delays = []
+        monkeypatch.setattr("time.sleep", delays.append)
+        return delays
+
+    @pytest.mark.parametrize("status", ["timeout", "crashed", "error"])
+    def test_exhausted_policy_builds_the_failure_record(self, status, sleeps):
+        attempt, error, message, reason = self.FAILURES[status]
+        policy = RetryPolicy(timeout_s=0.5, retries=1)
+        run = self.scripted(attempt)
+        settled = attempt_point(self.TASK, policy, run)
+        assert settled["status"] == "failed"
+        assert settled["retries"] == 1
+        assert settled["failure"] == failure_record(
+            3, self.TASK["point"], error, message, 2,
+            timed_out=status == "timeout", reason=reason,
+        )
+        assert [r["attempt"] for r in settled["attempts"]] == [1, 2]
+        for record in settled["attempts"]:
+            assert set(record) == {
+                "attempt", "status", "start_s", "duration_s", "context",
+            }
+            assert record["status"] == status
+            assert record["duration_s"] == attempt["duration_s"]
+            assert record["context"] is None
+        assert [call[0]["attempt"] for call in run.calls] == [1, 2]
+        assert all(call[1] == 0.5 for call in run.calls)
+
+    def test_recovery_returns_the_outcome(self, sleeps):
+        chaos = WorkerChaos(fail_points=(3,), fail_attempts=1)
+        run = self.scripted(
+            self.FAILURES["error"][0], {"status": "ok", "outcome": {"index": 3}}
+        )
+        settled = attempt_point(self.TASK, RetryPolicy(retries=2), run, chaos=chaos)
+        assert settled["status"] == "ok"
+        assert settled["outcome"] == {"index": 3}
+        assert settled["retries"] == 1
+        assert [r["status"] for r in settled["attempts"]] == ["error", "ok"]
+        assert all(call[0]["chaos"] == chaos.as_dict() for call in run.calls)
+        assert "tracectx" not in run.calls[0][0]
+
+    def test_cancel_before_the_first_attempt(self):
+        event = threading.Event()
+        event.set()
+        run = self.scripted({"status": "ok", "outcome": {}})
+        settled = attempt_point(
+            self.TASK, RetryPolicy(retries=2), run, cancel_event=event
+        )
+        assert settled == {"status": "cancelled", "retries": 0, "attempts": []}
+        assert run.calls == []
+
+    def test_cancel_during_an_attempt(self):
+        event = threading.Event()
+        run = self.scripted({"status": "cancelled", "reason": "cancelled"})
+        settled = attempt_point(
+            self.TASK, RetryPolicy(retries=3), run, cancel_event=event
+        )
+        assert settled["status"] == "cancelled"
+        assert [r["status"] for r in settled["attempts"]] == ["cancelled"]
+        assert run.calls[0][2] is event
+
+    def test_cancel_during_backoff(self):
+        policy = RetryPolicy(retries=3, backoff_s=0.2)
+        event = _BackoffEvent(cancel_after=1)
+        run = self.scripted(self.FAILURES["error"][0])
+        settled = attempt_point(self.TASK, policy, run, cancel_event=event)
+        assert settled["status"] == "cancelled"
+        assert len(run.calls) == 1
+        assert event.waits == [policy.backoff_for(3, 1)]
+
+    def test_backoff_delays_follow_the_policy(self, sleeps):
+        policy = RetryPolicy(retries=3, backoff_s=0.2, max_backoff_s=0.5)
+        expected = [policy.backoff_for(3, k) for k in (1, 2, 3)]
+        run = self.scripted(self.FAILURES["crashed"][0])
+        attempt_point(self.TASK, policy, run)
+        assert sleeps == expected
+        event = _BackoffEvent()
+        attempt_point(self.TASK, policy, run, cancel_event=event)
+        assert event.waits == expected
+
+    def test_attempt_contexts_are_the_sweep_contexts(self, sleeps):
+        context = TraceContext.root("run-1").child("point", 3)
+        run = self.scripted(self.FAILURES["timeout"][0])
+        settled = attempt_point(
+            self.TASK, RetryPolicy(timeout_s=0.5, retries=2), run, context=context
+        )
+        expected = [sweep_context("run-1", 3, k) for k in (1, 2, 3)]
+        assert [r["context"] for r in settled["attempts"]] == expected
+        assert [call[0]["tracectx"] for call in run.calls] == [
+            ctx.as_dict() for ctx in expected
+        ]
 
 
 class TestResilientExecution:
