@@ -3,8 +3,8 @@
 The per-file rules of :mod:`repro.analysis.rules` see one module at a
 time; the contracts PRs 6-8 introduced span modules: a lock declared in
 ``repro.serve.admission`` guards writes its HTTP threads perform, the
-``repro.sweep.resilience`` child processes are forked from thread pools
-that live in *other* modules, and the ``repro-*/v1`` wire envelopes are
+``repro.sweep.resilience`` worker pool is driven from thread pools that
+live in *other* modules, and the ``repro-*/v1`` wire envelopes are
 produced and validated in different packages.  This package builds one
 cross-module :class:`~repro.analysis.flow.model.ProjectModel` -- parsed
 modules, an alias-resolved constant table, a class-attribute/lock model

@@ -3,8 +3,8 @@
 These are the project-scoped complements of the runtime discipline the
 serve and obs layers rely on: the HTTP/monitor threads share mutable
 state behind per-instance locks, the asyncio loop must never run a
-blocking primitive on its own thread, and the sweep's process children
-are forked from code where thread pools are already alive.  All three
+blocking primitive on its own thread, and any process started from
+code where thread pools are already alive must not fork it.  All three
 rules walk the :class:`~repro.analysis.flow.model.ProjectModel` built
 by :func:`repro.analysis.core.run_lint`'s project pass.
 """
@@ -152,8 +152,9 @@ class ThreadBeforeForkRule(ProjectRule):
         "locks held by the other threads stay locked forever in the "
         "child.  The sweep runner and serve layer both start thread "
         "pools, so any ProcessPoolExecutor/multiprocessing child they "
-        "can reach must pass an explicit mp_context / get_context "
-        "start method (or carry a justified suppression)."
+        "can reach must pin a literal 'spawn' or 'forkserver' start "
+        "method via mp_context / get_context; get_context('fork') does "
+        "not count."
     )
 
     def check_project(self, model: ProjectModel) -> Iterator[Diagnostic]:

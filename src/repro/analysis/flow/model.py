@@ -62,6 +62,9 @@ _PROCESS_FACTORY_TAILS = frozenset(
     }
 )
 
+#: Start methods that never fork the calling process itself.
+_PINNED_START_METHODS = frozenset({"spawn", "forkserver"})
+
 #: Canonical tails that construct (or are) locks for CONC001 purposes.
 _LOCK_FACTORY_TAILS = frozenset(
     {
@@ -233,7 +236,9 @@ class ModuleInfo:
     constants: dict[str, str] = field(default_factory=dict)
     key_sets: dict[str, frozenset[str]] = field(default_factory=dict)
     key_set_nodes: dict[str, ast.AST] = field(default_factory=dict)
-    mp_context_aliases: set[str] = field(default_factory=set)
+    #: module-level ``get_context(...)`` alias -> whether it pins a
+    #: non-fork start method (see :func:`_pinned_context`).
+    mp_context_aliases: dict[str, bool] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     creates_threads: bool = False
@@ -530,11 +535,9 @@ def _build_module(ctx: LintContext) -> ModuleInfo:
                 info.key_sets[target.id] = keys
                 info.key_set_nodes[target.id] = stmt
         elif isinstance(value, ast.Call):
-            canonical = imports.resolve_call(value)
-            if canonical is not None and _tail(canonical) in (
-                "multiprocessing.get_context",
-            ):
-                info.mp_context_aliases.add(target.id)
+            pinned = _pinned_context(imports, value)
+            if pinned is not None:
+                info.mp_context_aliases[target.id] = pinned
 
     # Classes: lock attributes first, then lock-region method scans.
     for stmt in ast.walk(ctx.tree):
@@ -623,6 +626,18 @@ def _collect_factories(info: ModuleInfo) -> None:
         dotted = dotted_name(node.func)
         if dotted is None:
             continue
+        head, _, attr = dotted.rpartition(".")
+        if head in info.mp_context_aliases and attr in ("Process", "Pool"):
+            # ``ctx.Process(...)`` on a module-level ``get_context`` alias.
+            info.process_sites.append(
+                ProcessSite(
+                    node=node,
+                    factory=f"multiprocessing.{attr}",
+                    function=_enclosing_function(info, node),
+                    pinned=info.mp_context_aliases[head],
+                )
+            )
+            continue
         canonical = info.imports.resolve(dotted)
         tail = _tail(canonical)
         if canonical in _THREAD_FACTORY_TAILS or tail in _THREAD_FACTORY_TAILS:
@@ -631,8 +646,10 @@ def _collect_factories(info: ModuleInfo) -> None:
             canonical in _PROCESS_FACTORY_TAILS
             or tail in _PROCESS_FACTORY_TAILS
         ):
-            pinned = dotted.split(".", 1)[0] in info.mp_context_aliases or any(
-                keyword.arg == "mp_context" for keyword in node.keywords
+            pinned = any(
+                keyword.arg == "mp_context"
+                and _pinned_context_expr(info, keyword.value)
+                for keyword in node.keywords
             )
             info.process_sites.append(
                 ProcessSite(
@@ -642,6 +659,30 @@ def _collect_factories(info: ModuleInfo) -> None:
                     pinned=pinned,
                 )
             )
+
+
+def _pinned_context(imports: ImportMap, call: ast.Call) -> bool | None:
+    """Whether a ``multiprocessing.get_context(...)`` call pins a literal
+    ``"spawn"`` or ``"forkserver"`` start method; ``None`` for any other
+    call.  ``get_context("fork")``, a bare ``get_context()`` and a
+    computed method may all fork the caller, so none of them pins."""
+    canonical = imports.resolve_call(call)
+    if canonical is None or _tail(canonical) != "multiprocessing.get_context":
+        return None
+    method = call.args[0] if call.args else None
+    return (
+        isinstance(method, ast.Constant)
+        and method.value in _PINNED_START_METHODS
+    )
+
+
+def _pinned_context_expr(info: ModuleInfo, value: ast.expr) -> bool:
+    """Whether an ``mp_context=`` value pins a non-fork start method."""
+    if isinstance(value, ast.Call):
+        return bool(_pinned_context(info.imports, value))
+    if isinstance(value, ast.Name):
+        return info.mp_context_aliases.get(value.id, False)
+    return False
 
 
 def _schema_dict(info: ModuleInfo, node: ast.Dict) -> SchemaDict | None:

@@ -24,8 +24,11 @@ SERVE_LATENCY_BOUNDS = (
 #: Time a request spends queued before a pool thread picks it up.
 QUEUE_WAIT_BOUNDS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
 
-#: One retryable attempt of a point computation.
-ATTEMPT_BOUNDS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
+#: One retryable attempt of a point computation; a warm pool worker
+#: answers a small point in a few milliseconds.
+ATTEMPT_BOUNDS = (
+    0.001, 0.0025, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+)
 
 #: Engine phases (row/column pass, permutation) inside a worker.
 ENGINE_PHASE_BOUNDS = (0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1.0, 5.0)

@@ -2,10 +2,10 @@
 
 :class:`PlanService` is the transport-independent heart of ``repro
 serve``.  It owns an asyncio event loop on a dedicated thread and a
-thread pool whose workers drive the sweep stack's killable per-attempt
-child processes (:func:`repro.sweep.resilience.run_attempt`), so every
-robustness property composes from pieces the offline path already
-trusts:
+thread pool whose threads run attempts on the sweep stack's warm,
+killable worker processes (:func:`repro.sweep.resilience.run_attempt`),
+so every robustness property composes from pieces the offline path
+already trusts:
 
 * **Admission** -- :class:`~repro.serve.admission.AdmissionController`
   bounds in-flight requests; excess load is shed *before* any work is
@@ -16,8 +16,8 @@ trusts:
   ``repro sweep`` interoperate through a shared on-disk cache.
 * **Deadlines** -- each request's budget is enforced with
   ``asyncio.wait_for``; cancellation propagates through a
-  ``threading.Event`` into :func:`run_attempt`, which terminates the
-  abandoned child process.
+  ``threading.Event`` into :func:`run_attempt`, which kills the
+  abandoned worker process (the pool replaces it).
 * **Retries** -- transient worker failures replay through the sweep's
   own retry loop, :func:`~repro.sweep.resilience.attempt_point`, under a
   :class:`~repro.sweep.resilience.RetryPolicy` (deterministic backoff),
@@ -74,10 +74,12 @@ from repro.serve.schemas import (
 )
 from repro.sweep.cache import ResultCache
 from repro.sweep.resilience import (
+    WORKER_REPLACEMENTS,
     QuarantineReason,
     RetryPolicy,
     WorkerChaos,
     attempt_point,
+    replaced_workers,
     run_attempt,
 )
 
@@ -107,6 +109,10 @@ _COUNTER_HELP = {
     "degraded_refusals": "degraded 503 refusals",
     "compute_failures": "requests failed by workers",
     "flight_dumps": "flight-recorder bundles written",
+    **{
+        f"workers_replaced.{key}": help_text
+        for key, help_text in WORKER_REPLACEMENTS.items()
+    },
 }
 
 
@@ -154,7 +160,7 @@ class PlanService:
     Thread model: HTTP handler threads call :meth:`handle`, which does
     admission accounting and blocks on a coroutine scheduled onto the
     service's private event loop; the loop fans point computations out
-    to a thread pool whose workers drive killable child processes.
+    to a thread pool whose threads drive killable pool workers.
 
     Args:
         config: base system configuration requests override.
@@ -345,7 +351,7 @@ class PlanService:
 
         Idempotent.  Callers wanting a graceful exit run :meth:`drain`
         first; anything still in flight here is cancelled (its waiters
-        receive a shutdown error, its child processes are terminated).
+        receive a shutdown error, their pool workers are killed).
         """
         if self._closed:
             return
@@ -720,11 +726,11 @@ class PlanService:
         """Pool-thread body: one point through the sweep's retry loop.
 
         Runs :func:`~repro.sweep.resilience.attempt_point` over killable
-        child-process attempts.  Returns the point result, ``None`` when
+        pool-worker attempts.  Returns the point result, ``None`` when
         cancelled, or raises :class:`_PointFailure` after the policy is
         exhausted.  Breaker outcomes are recorded here, per point.  With
         a tracer attached, each attempt ships its trace context into the
-        worker child and folds the returned telemetry spans back into
+        pool worker and folds the returned telemetry spans back into
         the request tree; the task payload gains them *after* the cache
         key is fixed, so results and keys are byte-identical either way.
         """
@@ -768,8 +774,12 @@ class PlanService:
     def _record_attempts(
         self, attempts: list[dict[str, Any]], ctx: TraceContext
     ) -> None:
-        """``serve.attempt_s`` and the tracer's ``attempt`` spans of a point."""
+        """``serve.attempt_s``, worker replacements and the tracer's
+        ``attempt`` spans of a point."""
+        replaced = replaced_workers(attempts)
         with self._metrics_lock:
+            for key, count in replaced.items():
+                self._counters[f"workers_replaced.{key}"] += count
             for record in attempts:
                 observe_latency(
                     self._latency,
@@ -791,7 +801,7 @@ class PlanService:
                 )
 
     def _merge_worker_trace(self, payload: dict[str, Any] | None) -> None:
-        """Fold a worker child's telemetry spans into the request trace.
+        """Fold a pool worker's telemetry spans into the request trace.
 
         The worker derived each span's context from the attempt's, so
         this only shifts timestamps into this process's perf domain (via

@@ -13,8 +13,9 @@ point can never take the grid down:
 * :class:`WorkerChaos` -- test-only fault injection for the executor
   itself: make chosen points crash or hang inside the worker, so the
   recovery machinery is exercised by the real failure path;
-* :func:`run_attempt` -- one isolated attempt of one point in a
-  killable child process (a hung worker is terminated, not waited on);
+* :class:`WorkerPool` and :func:`run_attempt` -- one attempt of one
+  point on a warm worker process of a process-wide pool (a hung worker
+  is killed and replaced, not waited on);
 * :func:`attempt_point` -- the one retry loop: numbered attempts under a
   policy, with backoff, cancellation and a quarantine record at the end,
   shared by the sweep runner and the serving layer;
@@ -29,11 +30,13 @@ payload stays deterministic and byte-identical to a failure-free run.
 
 from __future__ import annotations
 
+import collections
 import enum
 import hashlib
 import json
 import multiprocessing
 import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,6 +95,26 @@ def reason_for_status(status: str) -> QuarantineReason:
             f"unknown attempt status {status!r} "
             f"(known: {sorted(_STATUS_REASONS)})"
         ) from None
+
+
+#: Metric-name key -> help text of each reason the pool replaces a
+#: worker for (the ``workers_replaced.<key>`` counters of serve and sweep).
+WORKER_REPLACEMENTS = {
+    "timeout": "pool workers killed when their attempt timed out",
+    "worker_crash": "pool workers that died during an attempt",
+    "cancelled": "pool workers killed when their attempt was cancelled",
+}
+
+
+def replaced_workers(attempts: list[dict[str, Any]]) -> collections.Counter[str]:
+    """Workers the pool replaced over ``attempts`` (records of
+    :func:`attempt_point`), keyed like :data:`WORKER_REPLACEMENTS`: every
+    attempt that timed out, crashed or was cancelled cost its worker."""
+    return collections.Counter(
+        reason_for_status(record["status"]).value.replace("-", "_")
+        for record in attempts
+        if record["status"] in ("timeout", "crashed", "cancelled")
+    )
 
 
 # ---------------------------------------------------------------- retry policy
@@ -230,114 +253,203 @@ def apply_chaos(chaos: dict[str, Any], index: int, attempt: int) -> None:
             )
 
 
-# ------------------------------------------------------------ isolated attempt
-def _attempt_child(conn: Any, task: dict[str, Any]) -> None:
-    """Child-process body of one attempt (module-level, fork/spawn safe)."""
-    from repro.sweep.runner import _execute_task
+# ----------------------------------------------------------------- worker pool
+#: Workers fork from a forkserver that imported the sweep stack once, never
+#: from the calling process: the caller's threads (serve's event loop, HTTP
+#: and pool threads, a sweep's attempt threads) cannot leave a lock held in
+#: a worker, and no worker pays an interpreter + numpy start.
+_FORKSERVER = multiprocessing.get_context("forkserver")
 
-    try:
-        outcome = _execute_task(task)
-    except BaseException as exc:  # noqa: BLE001 - quarantine everything
-        conn.send(
-            {"status": "error", "error": type(exc).__name__, "message": str(exc)}
-        )
-    else:
-        conn.send({"status": "ok", "outcome": outcome})
-    finally:
-        conn.close()
-
+#: Modules the forkserver imports before it forks any worker.
+_PRELOAD = ["repro.sweep.runner"]
 
 #: How often a cancellable attempt re-checks its cancel event (seconds).
 CANCEL_POLL_S = 0.05
 
 
-def run_attempt(
-    task: dict[str, Any],
-    timeout_s: float | None,
-    cancel_event: Any | None = None,
-) -> dict[str, Any]:
-    """Run one point attempt in a killable child process.
+def _worker_main(conn: Any) -> None:
+    """Worker process body: run the tasks sent on ``conn`` until EOF.
 
-    Returns the child's status dict: ``{"status": "ok", "outcome": ...}``
-    on success, ``{"status": "error", ...}`` when the worker raised,
-    ``{"status": "timeout"}`` when the attempt exceeded ``timeout_s``
-    (the child is terminated), ``{"status": "crashed"}`` when the child
-    died without reporting (hard crash), ``{"status": "cancelled"}``
-    when ``cancel_event`` was set while the attempt ran (the child is
-    terminated -- abandoned work never lingers).  Every non-ok status
-    carries its canonical ``reason`` (:class:`QuarantineReason`), and
-    every status the attempt's measured ``duration_s``.
-
-    ``cancel_event`` is any object with an ``is_set()`` method (a
-    ``threading.Event`` in practice); when given, the wait polls in
-    :data:`CANCEL_POLL_S` slices so cancellation lands promptly even
-    under an unbounded timeout.  This is the cancellation hook the
-    serving layer uses to propagate per-request deadlines to workers.
+    A forkserver worker inherits nothing from the pool's process, so each
+    task carries what it needs: its trace context and ``run_id``, read by
+    :func:`~repro.sweep.runner._execute_task`.  Records the task logs
+    through :meth:`~repro.obs.telemetry.WorkerTelemetry.logger` travel
+    home in its telemetry payload, and the caller emits them at its own
+    level; the worker's process-global pipeline reaches no caller sink.
     """
-    # Attempt duration is telemetry about THIS execution (it feeds the
-    # run trace's retry annotations), never part of the deterministic
-    # result payload -- same carve-out as the runner's meta["wall_s"].
+    import signal
+
+    from repro.sweep.runner import _execute_task
+
+    # Ctrl-C belongs to the pool's process, which kills its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        try:
+            status = {"status": "ok", "outcome": _execute_task(task)}
+        except Exception as exc:  # noqa: BLE001 - quarantine, never abort
+            status = {
+                "status": "error",
+                "error": type(exc).__name__,
+                "message": str(exc),
+            }
+        conn.send(status)
+
+
+class _Worker:
+    """One warm worker process and the pool's end of its pipe."""
+
+    def __init__(self) -> None:
+        self.conn, child_conn = _FORKSERVER.Pipe()
+        self.process = _FORKSERVER.Process(
+            target=_worker_main, args=(child_conn,), name="repro-worker", daemon=True
+        )
+        self.process.start()
+        child_conn.close()
+
+    def kill(self) -> None:
+        """Stop the worker at once and reap it."""
+        self.conn.close()
+        self.process.kill()
+        self.process.join()
+
+
+def _wait_for_report(
+    conn: Any, timeout_s: float | None, cancel_event: Any | None
+) -> str:
+    """Poll ``conn``: ``"ready"``, ``"timeout"`` or ``"cancelled"``."""
     import time
 
-    started = time.perf_counter()  # repro: ignore[DET001]
-    parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-    # Forked children run _attempt_child only: it re-seeds, touches no
-    # parent locks, and reports over its own pipe end, so the
-    # thread-before-fork hazard cannot bite; spawn would pay a full
-    # interpreter+numpy start per attempt (many per point under retry).
-    # repro: ignore[CONC003]
-    proc = multiprocessing.Process(
-        target=_attempt_child, args=(child_conn, task), daemon=True
+    if cancel_event is None:
+        return "ready" if conn.poll(timeout_s) else "timeout"
+    deadline = (
+        None
+        if timeout_s is None
+        else time.perf_counter() + timeout_s  # repro: ignore[DET001]
     )
-    proc.start()
-    child_conn.close()
-    log = get_logger(
-        "repro.sweep.resilience",
-        point_id=task["index"],
-        attempt=task.get("attempt", 1),
-    )
+    while True:
+        if cancel_event.is_set():
+            return "cancelled"
+        slice_s = CANCEL_POLL_S
+        if deadline is not None:
+            remaining = deadline - time.perf_counter()  # repro: ignore[DET001]
+            if remaining <= 0:
+                return "timeout"
+            slice_s = min(slice_s, remaining)
+        if conn.poll(slice_s):
+            return "ready"
 
-    def _wait_for_report() -> str:
-        """Poll the pipe; ``"ready"``, ``"timeout"`` or ``"cancelled"``."""
-        if cancel_event is None:
-            return "ready" if parent_conn.poll(timeout_s) else "timeout"
-        deadline = (
-            None
-            if timeout_s is None
-            else time.perf_counter() + timeout_s  # repro: ignore[DET001]
-        )
-        while True:
-            if cancel_event.is_set():
-                return "cancelled"
-            slice_s = CANCEL_POLL_S
-            if deadline is not None:
-                remaining = deadline - time.perf_counter()  # repro: ignore[DET001]
-                if remaining <= 0:
-                    return "timeout"
-                slice_s = min(slice_s, remaining)
-            if parent_conn.poll(slice_s):
-                return "ready"
 
+def _exchange(
+    worker: _Worker,
+    task: dict[str, Any],
+    timeout_s: float | None,
+    cancel_event: Any | None,
+) -> dict[str, Any]:
+    """Send ``task`` to ``worker`` and take its report (or say why not)."""
     try:
-        waited = _wait_for_report()
-        if waited != "ready":
-            proc.terminate()
-            proc.join()
-            status: dict[str, Any] = {"status": waited}
-            if waited == "timeout":
-                log.warning("attempt timed out", timeout_s=timeout_s)
-            else:
-                log.info("attempt cancelled")
-        else:
-            try:
-                status = parent_conn.recv()
-            except EOFError:
-                status = {
-                    "status": "crashed",
-                    "exitcode": proc.exitcode,
-                }
-                log.warning("worker crashed", exitcode=proc.exitcode)
-        if status["status"] == "error":
+        worker.conn.send(task)
+    except OSError:
+        waited = "crashed"
+    else:
+        waited = _wait_for_report(worker.conn, timeout_s, cancel_event)
+    if waited == "ready":
+        try:
+            return worker.conn.recv()
+        except (EOFError, OSError):
+            waited = "crashed"
+    if waited == "crashed":
+        worker.kill()  # reaps it: a dead process keeps its exit code
+        return {"status": "crashed", "exitcode": worker.process.exitcode}
+    return {"status": waited}
+
+
+class WorkerPool:
+    """Warm, killable worker processes that run point attempts.
+
+    :meth:`run` checks out an idle worker, or starts one when none is
+    idle, sends it the task and waits for its report under the attempt's
+    timeout and cancel event.  A worker that reports goes back to the
+    idle list.  One that times out, is cancelled or dies is killed and
+    dropped, and a later check-out starts its replacement (callers count
+    them from the attempt statuses, :func:`replaced_workers`).  Nothing
+    starts before the first attempt, and the pool grows to the number of
+    attempts its callers run at once (each sweep or serve thread runs
+    one attempt at a time).
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: list[_Worker] = []
+        self._closed = False
+        _FORKSERVER.set_forkserver_preload(_PRELOAD)
+
+    def _checkout(self) -> _Worker:
+        """An idle live worker, or a freshly started one."""
+        dead: list[_Worker] = []
+        worker: _Worker | None = None
+        with self._lock:
+            if self._closed:
+                raise SweepExecutionError("worker pool is closed")
+            while self._idle and worker is None:
+                candidate = self._idle.pop()
+                if candidate.process.is_alive():
+                    worker = candidate
+                else:
+                    dead.append(candidate)
+        for candidate in dead:
+            candidate.kill()
+            get_logger("repro.sweep.resilience").warning(
+                "idle worker died", exitcode=candidate.process.exitcode
+            )
+        return worker if worker is not None else _Worker()
+
+    def _checkin(self, worker: _Worker, status: dict[str, Any] | None) -> None:
+        """Keep a worker that reported; kill any other."""
+        if status is not None and status["status"] in ("ok", "error"):
+            with self._lock:
+                if not self._closed:
+                    self._idle.append(worker)
+                    return
+        worker.kill()
+
+    def run(
+        self,
+        task: dict[str, Any],
+        timeout_s: float | None,
+        cancel_event: Any | None = None,
+    ) -> dict[str, Any]:
+        """Run one point attempt on a warm worker; see :func:`run_attempt`."""
+        # Attempt duration is telemetry about THIS execution (it feeds the
+        # run trace's retry annotations), never part of the deterministic
+        # result payload -- same carve-out as the runner's meta["wall_s"].
+        import time
+
+        worker = self._checkout()
+        status: dict[str, Any] | None = None
+        # Timed from the send, like the timeout: starting a worker is not
+        # part of the attempt.
+        started = time.perf_counter()  # repro: ignore[DET001]
+        try:
+            status = _exchange(worker, task, timeout_s, cancel_event)
+        finally:
+            self._checkin(worker, status)
+        status["duration_s"] = time.perf_counter() - started  # repro: ignore[DET001]
+        log = get_logger(
+            "repro.sweep.resilience",
+            point_id=task["index"],
+            attempt=task.get("attempt", 1),
+        )
+        if status["status"] == "timeout":
+            log.warning("attempt timed out", timeout_s=timeout_s)
+        elif status["status"] == "cancelled":
+            log.info("attempt cancelled")
+        elif status["status"] == "crashed":
+            log.warning("worker crashed", exitcode=status["exitcode"])
+        elif status["status"] == "error":
             log.warning(
                 "attempt raised",
                 error=status.get("error"),
@@ -345,11 +457,58 @@ def run_attempt(
             )
         if status["status"] != "ok":
             status["reason"] = reason_for_status(status["status"]).value
-        status["duration_s"] = time.perf_counter() - started  # repro: ignore[DET001]
         return status
-    finally:
-        parent_conn.close()
-        proc.join()
+
+    def close(self) -> None:
+        """Kill the idle workers; busy ones are killed as they report."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.kill()
+
+
+_SHARED_POOL: WorkerPool | None = None
+_SHARED_LOCK = threading.Lock()
+
+
+def shared_pool() -> WorkerPool:
+    """The process-wide pool :func:`run_attempt` checks workers out of."""
+    global _SHARED_POOL
+    with _SHARED_LOCK:
+        if _SHARED_POOL is None:
+            _SHARED_POOL = WorkerPool()
+        return _SHARED_POOL
+
+
+def run_attempt(
+    task: dict[str, Any],
+    timeout_s: float | None,
+    cancel_event: Any | None = None,
+) -> dict[str, Any]:
+    """Run one point attempt on a warm worker of :func:`shared_pool`.
+
+    Returns the worker's status dict: ``{"status": "ok", "outcome": ...}``
+    on success, ``{"status": "error", ...}`` when the worker raised,
+    ``{"status": "timeout"}`` when the attempt exceeded ``timeout_s``
+    (the worker is killed and later replaced), ``{"status": "crashed"}``
+    when the worker died without reporting (hard crash),
+    ``{"status": "cancelled"}`` when ``cancel_event`` was set while the
+    attempt ran (the worker is killed -- abandoned work never lingers).
+    Every non-ok status carries its canonical ``reason``
+    (:class:`QuarantineReason`), and every status the attempt's measured
+    ``duration_s``.
+
+    ``cancel_event`` is any object with an ``is_set()`` method (a
+    ``threading.Event`` in practice); when given, the wait polls in
+    :data:`CANCEL_POLL_S` slices so cancellation lands promptly even
+    under an unbounded timeout.  This is the cancellation hook the
+    serving layer uses to propagate per-request deadlines to workers.
+    The timeout and ``duration_s`` count from the moment the task is
+    sent: starting the forkserver or a replacement worker is not charged
+    to the attempt.
+    """
+    return shared_pool().run(task, timeout_s, cancel_event)
 
 
 def failure_record(

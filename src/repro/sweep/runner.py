@@ -15,10 +15,11 @@ order into one run-level registry.
 Execution is *resilient*: a worker exception is quarantined as a
 structured record in the result's ``failures`` section instead of
 aborting the grid.  A :class:`~repro.sweep.resilience.RetryPolicy`
-upgrades every point to killable per-attempt child processes with
-timeouts and deterministic exponential backoff; a checkpoint path makes
-the runner snapshot completed points periodically so ``resume=True``
-replays them after an interruption.  See :mod:`repro.sweep.resilience`
+runs every point's attempts on the warm, killable workers of a shared
+pool, even with ``jobs=1``, with timeouts and deterministic exponential
+backoff; a checkpoint path makes the runner snapshot completed points
+periodically so ``resume=True`` replays them after an interruption.
+See :mod:`repro.sweep.resilience`
 and ``docs/sweep.md``.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -47,12 +49,14 @@ from repro.serialization import system_from_dict, system_to_dict, system_with_ov
 from repro.sweep.cache import CACHE_VERSION, ResultCache
 from repro.sweep.grid import SweepGrid, SweepPoint
 from repro.sweep.resilience import (
+    WORKER_REPLACEMENTS,
     RetryPolicy,
     SweepCheckpoint,
     WorkerChaos,
     apply_chaos,
     attempt_point,
     failure_record,
+    replaced_workers,
     run_attempt,
 )
 from repro.sweep.results import SweepResult
@@ -185,7 +189,8 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
     """Worker body: simulate one point, return result + metrics snapshot.
 
     Module-level (picklable) and fed only JSON-native payloads, so it
-    runs identically inline, under ``fork`` and under ``spawn``.  An
+    runs identically inline, in a forked process-pool worker and on a
+    forkserver pool worker.  An
     optional ``chaos`` member (see
     :class:`~repro.sweep.resilience.WorkerChaos`) makes the attempt
     misbehave for executor testing.
@@ -303,9 +308,9 @@ def _iter_outcomes(
 ) -> Iterator[dict[str, Any]]:
     """Run ``body`` over ``tasks`` inline or on a pool, in completion order.
 
-    ``isolated`` bodies start their own child process per attempt
-    (:func:`~repro.sweep.resilience.attempt_point`), so threads drive
-    them; other bodies compute in the pool's worker processes.
+    ``isolated`` bodies run each attempt on a warm worker of the shared
+    pool (:func:`~repro.sweep.resilience.attempt_point`), so threads
+    drive them; other bodies compute in the pool's worker processes.
     """
     workers = min(jobs, len(tasks))
     if workers == 1:
@@ -316,9 +321,11 @@ def _iter_outcomes(
             yield from _drain(pool, body, tasks)
     else:
         # Workers are forked before this module's thread pool exists (the
-        # isolated path forks fresh attempt children instead), and the
-        # worker body re-imports everything it touches; spawn would add
-        # a full interpreter+numpy start per worker for no safety gain.
+        # isolated path runs its attempts on the forkserver pool instead),
+        # and the worker body re-imports everything it touches.  Forked
+        # workers start at once and inherit the caller's module state
+        # (wrapped callables included); the forkserver pool would add
+        # its one-off start to every one-shot `repro sweep --jobs N`.
         # repro: ignore[CONC003]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from _drain(pool, body, tasks)
@@ -366,9 +373,10 @@ def run_sweep(
         cache: optional on-disk result cache; hits skip simulation,
             misses are stored after simulation.
         policy: optional :class:`~repro.sweep.resilience.RetryPolicy`;
-            when given (or when ``chaos`` is), every point runs in
-            killable per-attempt child processes with timeouts and
-            deterministic backoff between retries.
+            when given (or when ``chaos`` is), every attempt runs on a
+            warm, killable worker of the shared pool, even with
+            ``jobs=1``, with timeouts and deterministic backoff between
+            retries.
         chaos: optional executor fault injection
             (:class:`~repro.sweep.resilience.WorkerChaos`); test/CI only.
         checkpoint: optional path for periodic progress snapshots
@@ -501,6 +509,7 @@ def run_sweep(
 
     failures: list[dict[str, Any]] = []
     retries_total = 0
+    replaced: Counter[str] = Counter()
     simulated = 0
     outcomes_by_index: dict[int, dict[str, Any]] = {}
 
@@ -530,6 +539,7 @@ def run_sweep(
         ):
             for entry in stream:
                 retries_total += entry["retries"]
+                replaced.update(replaced_workers(entry["attempts"]))
                 ok = entry["status"] == "ok"
                 index = (entry["outcome"] if ok else entry["failure"])["index"]
                 if run_tel is not None:
@@ -599,6 +609,10 @@ def run_sweep(
         registry.counter("sweep.failures", help="points quarantined").inc(
             len(failures)
         )
+    for key in sorted(replaced):
+        registry.counter(
+            f"sweep.workers_replaced.{key}", help=WORKER_REPLACEMENTS[key]
+        ).inc(replaced[key])
     final: list[dict[str, Any]] = []
     failed_indices = {failure["index"] for failure in failures}
     for index, entry in enumerate(results):

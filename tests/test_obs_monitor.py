@@ -368,6 +368,8 @@ class TestCliCompose:
             "--no-cache",
             "--monitor", "0",
             "--telemetry",
+            "--trace-out", str(tmp_path / "sweep-trace.json"),
+            "--openmetrics-out", str(tmp_path / "sweep-metrics.prom"),
             "--out", str(tmp_path / "result.json"),
         ]
         assert main(list(argv)) == 0

@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs.logging import reset_logging
-from repro.obs.openmetrics import parse_openmetrics
+from repro.obs.openmetrics import parse_openmetrics, render_openmetrics
 from repro.serve import (
     RESPONSE_SCHEMA,
     SERVE_STATUS_SCHEMA,
@@ -517,6 +517,48 @@ class TestFailureParity:
         assert code == 500
         served = {key: envelope[key] for key in ("error", "message", "reason")}
         assert served == {key: failure[key] for key in served}
+
+
+class TestWorkerReplacement:
+    """Pool workers the service replaces are counted on ``/metrics``."""
+
+    def test_timed_out_worker_is_counted_by_reason(self):
+        policy = RetryPolicy(timeout_s=0.5, retries=0)
+        chaos = WorkerChaos(hang_points=(0,))
+        with PlanService(jobs=1, policy=policy, chaos=chaos) as service:
+            code, _, _ = service.handle(
+                {"n": 256, "layouts": ["row-major"], "max_requests": 2048}
+            )
+            snapshot = service.metrics_snapshot()
+        assert code == 500
+        families = parse_openmetrics(render_openmetrics(snapshot))
+        replaced = {
+            reason: families[f"serve_workers_replaced_{reason}"]["samples"][
+                f"serve_workers_replaced_{reason}_total"
+            ]
+            for reason in ("timeout", "worker_crash", "cancelled")
+        }
+        assert replaced == {"timeout": 1, "worker_crash": 0, "cancelled": 0}
+
+    def test_warm_attempts_land_in_millisecond_buckets(self):
+        with PlanService(jobs=1) as service:
+            for t_in_row in (1.5, 1.6):
+                code, _, _ = service.handle(
+                    {
+                        "n": 256,
+                        "layouts": ["ddl"],
+                        "max_requests": 2048,
+                        "overrides": {"memory": {"timing": {"t_in_row": t_in_row}}},
+                    }
+                )
+                assert code == 200
+            snapshot = service.metrics_snapshot()
+        samples = parse_openmetrics(render_openmetrics(snapshot))[
+            "serve_attempt_s"
+        ]["samples"]
+        for bound in ("0.001", "0.0025", "0.005"):
+            assert f'serve_attempt_s_bucket{{le="{bound}"}}' in samples
+        assert samples["serve_attempt_s_count"] == 2
 
 
 class TestRequestTracing:

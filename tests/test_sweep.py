@@ -1,6 +1,7 @@
 """The design-space sweep engine: grids, cache, runner, determinism."""
 
 import json
+import multiprocessing
 import threading
 
 import pytest
@@ -838,3 +839,153 @@ class TestTelemetry:
             (0, 1)
         ]
         assert retries[0].meta["status"] == "error"
+
+
+class TestWarmWorkerReuse:
+    """Differential: one warm worker reused across mixed points gives the
+    inline documents, and a killed or hung worker is replaced."""
+
+    GRID = SweepGrid(
+        sizes=(256, 512),
+        layouts=("ddl", "row-major", "block-ddl-w1h32"),
+        configs=(
+            ConfigVariant(),
+            ConfigVariant(
+                "refresh",
+                {"memory": {"refresh": {"t_refi_ns": 7800.0, "t_rfc_ns": 160.0}}},
+            ),
+        ),
+    )
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """A private pool standing in for the shared one."""
+        import repro.sweep.runner as runner
+        from repro.sweep.resilience import WorkerPool
+
+        pool = WorkerPool()
+        monkeypatch.setattr(runner, "run_attempt", pool.run)
+        yield pool
+        pool.close()
+
+    @staticmethod
+    def workers(before=frozenset()):
+        """This process's live pool workers, by pid, minus ``before``."""
+        return {
+            process.pid: process
+            for process in multiprocessing.active_children()
+            if process.name == "repro-worker" and process.pid not in before
+        }
+
+    @pytest.fixture(scope="class")
+    def inline(self):
+        return run_sweep(self.GRID, max_requests=SAMPLE, jobs=1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reused_worker_matches_inline(self, pool, inline, jobs):
+        assert self.GRID.n_points() == 12
+        before = set(self.workers())
+        pooled = run_sweep(
+            self.GRID, max_requests=SAMPLE, jobs=jobs, policy=RetryPolicy()
+        )
+        assert pooled.to_json() == inline.to_json()
+        # The pool grows to the attempts run at once: one worker served
+        # every point of the serial run.
+        assert 1 <= len(self.workers(before)) <= jobs
+
+    def test_concurrent_checkouts_never_share_a_worker(self):
+        import sys
+
+        from repro.core.config import SystemConfig
+        from repro.serialization import system_to_dict
+        from repro.sweep.resilience import WorkerPool
+        from repro.sweep.runner import point_payload
+
+        point = SweepPoint(n=256, layout="ddl", height=None, config_label="default")
+        payload = point_payload(point, system_to_dict(SystemConfig()), SAMPLE)
+        pool = WorkerPool()
+        answers: dict[int, dict] = {}
+
+        def client(first: int) -> None:
+            for index in range(first, 16, 4):
+                answers[index] = pool.run(dict(payload, index=index), 30.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        # A worker handed to two callers at once would answer one of them
+        # with the other's point.
+        assert sorted(answers) == list(range(16))
+        for index, status in answers.items():
+            assert status["status"] == "ok", status
+            assert status["outcome"]["index"] == index
+
+    def test_worker_logs_reach_the_caller_at_its_level(self, pool):
+        from repro.obs.logging import configure_logging, global_ring, reset_logging
+
+        grid = SweepGrid(sizes=(256,), layouts=("ddl", "row-major"))
+        try:
+            for level, expected in (("info", 0), ("debug", 2)):
+                configure_logging(level)
+                run_sweep(
+                    grid, max_requests=SAMPLE, policy=RetryPolicy(), telemetry=True
+                )
+                simulated = [
+                    record
+                    for record in global_ring().tail()
+                    if record.message == "point simulated"
+                ]
+                assert len(simulated) == expected, level
+            assert sorted(r.context["point_id"] for r in simulated) == [0, 1]
+        finally:
+            reset_logging()
+
+    def test_killed_and_hung_workers_are_replaced(self, pool, inline, monkeypatch):
+        import os
+        import signal
+
+        import repro.sweep.runner as runner
+
+        kill_before, hang_at = 4, 7
+        before = set(self.workers())
+        pids = set()
+
+        def run(task, timeout_s, cancel_event=None):
+            if task["index"] == kill_before:
+                (worker,) = self.workers(before).values()
+                os.kill(worker.pid, signal.SIGKILL)
+                worker.join()
+            status = pool.run(task, timeout_s, cancel_event)
+            pids.update(self.workers(before))
+            return status
+
+        monkeypatch.setattr(runner, "run_attempt", run)
+        result = run_sweep(
+            self.GRID,
+            max_requests=SAMPLE,
+            jobs=1,
+            policy=RetryPolicy(timeout_s=2.0),
+            chaos=WorkerChaos(hang_points=(hang_at,), hang_s=60.0),
+        )
+        (failure,) = result.failures
+        assert failure["index"] == hang_at
+        assert failure["error"] == "TimeoutError"
+        assert failure["reason"] == "timeout"
+        expected = [r for i, r in enumerate(inline.results) if i != hang_at]
+        assert result.results == expected
+        # Three workers served the sequence: before the kill, until the
+        # hang, and after it.
+        assert len(pids) == 3
+        counters = result.registry.as_dict()
+        assert counters["sweep.workers_replaced.timeout"]["value"] == 1
+        # The killed worker was idle: no attempt failed, none counted.
+        assert "sweep.workers_replaced.worker_crash" not in counters

@@ -17,7 +17,10 @@ demands the issue's overload semantics end to end:
 * ``GET /debug/bundle`` returns a valid flight-recorder bundle
   (dumped to ``load-smoke-bundle.json`` as a CI artifact);
 * **SIGTERM drains cleanly**: the server exits 0 within the drain
-  budget and leaves a ``flight-sigterm.json`` forensic bundle behind.
+  budget and leaves a ``flight-sigterm.json`` forensic bundle behind;
+* **no orphans**: the server runs in its own session, and once it has
+  exited no process of that group is left -- no pool worker and no
+  forkserver.
 
 A JSON report of every response lands in ``load-smoke-report.json``.
 Exit status: 0 when every property holds, 1 otherwise.
@@ -78,6 +81,30 @@ def wait_healthy(url: str, deadline_s: float = 20.0) -> None:
             if time.monotonic() >= deadline:  # repro: ignore[DET001]
                 raise SystemExit(f"server at {url} never became healthy")
             time.sleep(0.1)
+
+
+def group_members(pgid: int) -> list[int]:
+    """Live (non-zombie) processes of process group ``pgid`` (Linux)."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:
+            continue  # exited while we looked
+        state, pgrp = fields[0], int(fields[2])
+        if pgrp == pgid and state != "Z":
+            members.append(int(stat.parent.name))
+    return members
+
+
+def wait_group_gone(pgid: int, deadline_s: float = 10.0) -> list[int]:
+    """Poll until group ``pgid`` is empty; returns what is left."""
+    deadline = time.monotonic() + deadline_s  # repro: ignore[DET001]
+    while True:
+        left = group_members(pgid)
+        if not left or time.monotonic() >= deadline:  # repro: ignore[DET001]
+            return left
+        time.sleep(0.1)
 
 
 def post_plan(url: str, spec: dict[str, Any]) -> dict[str, Any]:
@@ -157,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         ],
         cwd=REPO_ROOT,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        start_new_session=True,
     )
     checks: list[tuple[str, bool, str]] = []
     responses: list[dict[str, Any]] = []
@@ -258,6 +286,12 @@ def main(argv: list[str] | None = None) -> int:
             code == 0,
             f"exit code {code}",
         ))
+        left = wait_group_gone(server.pid)
+        checks.append((
+            "no pool worker or forkserver outlives the server",
+            not left,
+            f"{len(left)} processes left in the server's group {left}",
+        ))
 
         sigterm_bundle = REPO_ROOT / args.flight_dir / "flight-sigterm.json"
         try:
@@ -274,6 +308,11 @@ def main(argv: list[str] | None = None) -> int:
         if server.poll() is None:
             server.kill()
             server.wait(timeout=10.0)
+        for pid in group_members(server.pid):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
         Path(args.report).write_text(
             json.dumps(
                 {
