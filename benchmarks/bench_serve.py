@@ -118,7 +118,7 @@ def test_serve_latency_throughput_and_sharing(quick, tmp_path):
             thread.join()
         sustained_s = time.perf_counter() - sustained_start
         rps = clients * per_client / sustained_s
-        counters = service.status_snapshot()["counters"]
+        counters = service.live.snapshot()["counters"]
 
     print(banner("SERVE: plan-request latency, throughput and sharing"))
     print(f"  warm p50 latency    : {1e3 * p50:7.2f} ms")

@@ -41,8 +41,9 @@ class LockDisciplineRule(ProjectRule):
         "everywhere or nowhere"
     )
     rationale = (
-        "AdmissionController, CircuitBreaker, SweepStatus and the log "
-        "sinks are mutated from HTTP/monitor threads; an attribute "
+        "AdmissionController, CircuitBreaker, LiveStatus (and its "
+        "SweepStatus) and the log sinks are mutated from HTTP/monitor "
+        "threads; an attribute "
         "written both under 'with self._lock:' and outside it is a race "
         "the lock only pretends to close.  Constructor writes are exempt "
         "(the instance has not escaped yet), and private methods only "

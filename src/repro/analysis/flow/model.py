@@ -572,6 +572,13 @@ def _build_class(node: ast.ClassDef, info: ModuleInfo) -> ClassInfo:
                     cls.lock_attrs.add(attr)
                 elif _name_is_lockish(attr):
                     cls.lock_attrs.add(attr)
+            # A lock inherited from a base class shows up only as the
+            # context manager of ``with self.<lockish>:``.
+            if isinstance(stmt, (ast.With, ast.AsyncWith)):
+                for item in stmt.items:
+                    attr = _self_attr(item.context_expr)
+                    if attr is not None and _name_is_lockish(attr):
+                        cls.lock_attrs.add(attr)
     for method in node.body:
         if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scan = _MethodScan(cls, method.name)

@@ -402,7 +402,7 @@ def _write_sweep_telemetry(args: argparse.Namespace, result) -> None:
         f"wrote {trace_path} ({result.telemetry.summary()})", file=chatter
     )
     metrics_path = args.openmetrics_out or "sweep-metrics.prom"
-    merged = MetricsRegistry.from_snapshot(result.registry.as_dict())
+    merged = MetricsRegistry().merge_snapshot(result.registry.as_dict())
     merged.merge_snapshot(result.telemetry.registry.as_dict())
     write_openmetrics(metrics_path, merged)
     print(f"wrote {metrics_path} ({len(merged)} metrics)", file=chatter)
@@ -449,7 +449,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         monitor = SweepMonitor(status, port=args.monitor).start()
         chatter = sys.stderr if args.json else sys.stdout
         print(
-            f"monitoring at {monitor.url} (/status /metrics /logs)",
+            f"monitoring at {monitor.url} ({' '.join(monitor.endpoints())})",
             file=chatter,
         )
     try:
@@ -1060,7 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--url",
         type=str,
         default="http://127.0.0.1:8790",
-        help="base URL of a running repro serve (GET /debug/bundle)",
+        help="base URL of a running repro serve or sweep monitor "
+             "(GET /debug/bundle)",
     )
     pb.add_argument(
         "--inspect",

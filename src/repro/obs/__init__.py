@@ -29,13 +29,15 @@ with zero third-party dependencies:
   with bound correlation context (``run_id``/``point_id``/``worker_id``/
   ``attempt``), a bounded ring buffer and an on-disk sink
   (``--log-level``/``--log-out``).
+* :mod:`repro.obs.live` -- :class:`LiveStatus`, the one live registry
+  per process behind ``/status``, ``/metrics`` and flight bundles.
 * :mod:`repro.obs.monitor` -- the live sweep monitor:
-  :class:`SweepStatus` accounting plus the embedded ``/status`` +
-  ``/metrics`` + ``/logs`` HTTP server behind ``repro sweep --monitor``
-  and ``repro tail``.
+  :class:`SweepStatus` accounting plus the embedded HTTP server behind
+  ``repro sweep --monitor`` and ``repro tail``.
 * :mod:`repro.obs.endpoint` -- the one embedded HTTP server
   (:class:`~repro.obs.endpoint.EndpointServer`) the sweep monitor and
-  ``repro serve`` both run on, each supplying only its routes.
+  ``repro serve`` both run on: one shared route set (``/status``,
+  ``/metrics``, ``/logs``, ``/debug/bundle``) plus each one's own.
 * :mod:`repro.obs.tracectx` -- the one trace context: W3C-traceparent
   :class:`TraceContext` with deterministic trace/span ids (request ids
   for serve, run id + point + attempt for sweeps) and the
@@ -102,6 +104,7 @@ from repro.obs.logging import (
     shutdown_logging,
     validate_log_line,
 )
+from repro.obs.live import LiveStatus
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -146,6 +149,7 @@ __all__ = [
     "JsonlSink",
     "LOG_SCHEMA",
     "ListSink",
+    "LiveStatus",
     "LogPipeline",
     "LogRecord",
     "MetricsRegistry",

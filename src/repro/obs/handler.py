@@ -50,10 +50,7 @@ class EndpointHandler(BaseHTTPRequestHandler):
         else:
             body: dict[str, Any] = {"error": f"unknown path {split.path!r}"}
             if method == "GET":
-                body["endpoints"] = [
-                    path if routed == "GET" else f"{routed} {path}"
-                    for routed, path in endpoint.routes
-                ]
+                body["endpoints"] = endpoint.endpoints()
             self.send_json(body, code=404)
 
     def send_json(

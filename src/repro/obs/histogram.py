@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry, quantile_from_snapshot
 
 #: End-to-end ``POST /plan`` latency (seconds): sub-ms cache hits up to
 #: multi-second deadline-bounded computes.
@@ -52,29 +52,6 @@ def observe_latency(
     hist = registry.histogram(name, bounds, help)
     hist.observe(seconds, exemplar=exemplar)
     return hist
-
-
-def quantile_from_snapshot(entry: Mapping[str, object], q: float) -> float:
-    """The ``q``-quantile of a histogram ``as_dict()`` snapshot.
-
-    Mirrors :meth:`repro.obs.metrics.Histogram.quantile` (bucket upper
-    bound, observed max for the overflow bucket) but runs on the plain
-    dict so remote snapshots need no instrument reconstruction.
-    """
-    count = int(entry["count"])  # type: ignore[arg-type]
-    if not count:
-        return 0.0
-    bounds = list(entry["bounds"])  # type: ignore[call-overload]
-    counts = list(entry["counts"])  # type: ignore[call-overload]
-    rank = q * count
-    seen = 0
-    for index, bucket_count in enumerate(counts):
-        seen += bucket_count
-        if seen >= rank and bucket_count:
-            if index < len(bounds):
-                return float(bounds[index])
-            return float(entry["max"])  # type: ignore[arg-type]
-    return float(entry["max"])  # type: ignore[arg-type]
 
 
 def latency_summary(entry: Mapping[str, object]) -> dict:

@@ -45,6 +45,30 @@ def pick_exemplar(
     return candidate if candidate[1] < current[1] else current
 
 
+def quantile_from_snapshot(entry: Mapping[str, object], q: float) -> float:
+    """The ``q``-quantile of a histogram ``as_dict()`` snapshot.
+
+    Returns the upper bound of the bucket holding the requested rank
+    (the observed max for the overflow bucket) -- the usual fixed-bucket
+    estimate, biased at most one bucket width upward.  It runs on the
+    plain dict, so remote snapshots need no instrument reconstruction.
+    """
+    count = int(entry["count"])  # type: ignore[arg-type]
+    if not count:
+        return 0.0
+    bounds = list(entry["bounds"])  # type: ignore[call-overload]
+    counts = list(entry["counts"])  # type: ignore[call-overload]
+    rank = q * count
+    seen = 0
+    for index, bucket_count in enumerate(counts):
+        seen += bucket_count
+        if seen >= rank and bucket_count:
+            if index < len(bounds):
+                return float(bounds[index])
+            return float(entry["max"])  # type: ignore[arg-type]
+    return float(entry["max"])  # type: ignore[arg-type]
+
+
 @dataclass
 class Counter:
     """A monotonically increasing count (requests served, events seen)."""
@@ -144,25 +168,10 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile from the bucket boundaries.
-
-        Returns the upper bound of the bucket holding the requested rank
-        (the largest observed value for the overflow bucket) -- the usual
-        fixed-bucket estimate, biased at most one bucket width upward.
-        """
+        """Approximate ``q``-quantile (see :func:`quantile_from_snapshot`)."""
         if not 0.0 <= q <= 1.0:
             raise MetricsError(f"quantile must be in [0, 1], got {q}")
-        if not self.count:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= rank and bucket_count:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.max_value
-        return self.max_value
+        return quantile_from_snapshot(self.as_dict(), q)
 
     def as_dict(self) -> dict:
         """Plain-dict snapshot (JSON-ready)."""
@@ -241,22 +250,12 @@ class MetricsRegistry:
             name: inst.as_dict() for name, inst in sorted(self._instruments.items())
         }
 
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping[str, dict]) -> "MetricsRegistry":
-        """Rebuild a registry from an :meth:`as_dict` snapshot.
-
-        The inverse of :meth:`as_dict` up to instrument identity -- the
-        rebuilt instruments carry the snapshot's values and help strings.
-        This is how sweep workers ship their registries across process
-        boundaries: ``as_dict`` on the worker side, ``from_snapshot`` (or
-        :meth:`merge_snapshot`) on the parent side.
-        """
-        registry = cls()
-        merge_registries(registry, snapshot)
-        return registry
-
     def merge_snapshot(self, snapshot: Mapping[str, dict]) -> "MetricsRegistry":
         """Fold another registry's :meth:`as_dict` snapshot into this one.
+
+        This is how sweep workers ship their registries across process
+        boundaries: ``as_dict`` on the worker side, ``merge_snapshot``
+        (into a fresh registry to rebuild one) on the parent side.
 
         Counters add, gauges take the incoming value, histograms add
         bucket counts (bounds must agree) -- see :func:`merge_registries`.

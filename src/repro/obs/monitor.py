@@ -1,57 +1,39 @@
-"""Live sweep monitoring: an embedded ``/status`` + ``/metrics`` server.
+"""Live sweep monitoring: ``repro sweep --monitor`` and ``repro tail``.
 
-PR 5 made sweeps observable *after the fact* (merged traces, OpenMetrics
-dumps, HTML reports); this module makes them observable *while running*.
-Two pieces:
-
-* :class:`SweepStatus` -- thread-safe accounting the sweep runner
-  updates as points complete: grid progress, per-worker state, retry
-  and quarantine counts, cache hit rate, and a throughput-based ETA.
-  It also accumulates the per-point metrics snapshots into a live
-  :class:`~repro.obs.metrics.MetricsRegistry` so ``/metrics`` serves
-  real mid-run numbers, not an end-of-run merge.
+* :class:`SweepStatus` -- the sweep's :class:`~repro.obs.live.LiveStatus`:
+  the runner updates it as points complete (progress, per-worker state,
+  retries, quarantines, cache hits) and folds each point's metrics into
+  its live registry, so ``/metrics`` serves real mid-run numbers.
 * :class:`SweepMonitor` -- an
-  :class:`~repro.obs.endpoint.EndpointServer` thread in the parent
-  process (``repro sweep --monitor PORT``; port 0 binds an ephemeral
-  port) exposing:
-
-  - ``GET /status`` -- one JSON document (:data:`STATUS_SCHEMA`):
-    progress, throughput, ETA, per-worker state, failures, cache hits;
-  - ``GET /metrics`` -- the OpenMetrics text exposition of the live
-    registry plus progress gauges (scrapeable by any Prometheus agent,
-    reusing :func:`repro.obs.openmetrics.render_openmetrics`);
-  - ``GET /logs?n=N`` -- the newest N structured log records from the
-    global ring buffer (:mod:`repro.obs.logging`), oldest first.
+  :class:`~repro.obs.endpoint.EndpointServer` thread in the sweep parent
+  (``--monitor PORT``; port 0 binds an ephemeral port) serving the
+  shared ``/status`` (:data:`STATUS_SCHEMA`), ``/metrics``, ``/logs``
+  and ``/debug/bundle`` routes.
 
 ``python -m repro tail --url http://...`` polls ``/status`` and renders
 the single-line live view (:func:`render_status_line`).
 
 Monitoring is run *metadata*: the deterministic sweep document is
 byte-identical with the monitor on or off (enforced by tests).
-``repro serve`` (:class:`~repro.serve.app.PlanServer`) runs on the same
-:mod:`repro.obs.endpoint` server and shares :data:`OPENMETRICS_CONTENT_TYPE`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import TYPE_CHECKING, Any
-from urllib.parse import parse_qs
+from operator import itemgetter
+from typing import Any
 
 from repro.errors import ReproError
 from repro.obs.endpoint import EndpointServer
+from repro.obs.flight import FlightRecorder
 from repro.obs.histogram import (
     POINT_DURATION_BOUNDS,
     observe_latency,
     summarize_latencies,
 )
-from repro.obs.logging import RingBufferSink, global_ring
+from repro.obs.live import LiveStatus, Scraped
+from repro.obs.logging import RingBufferSink
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.openmetrics import render_openmetrics
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.obs.handler import EndpointHandler
 
 #: Schema tag stamped into every ``/status`` document (v2 added the
 #: ``latency`` summary section).
@@ -110,13 +92,23 @@ STATUS_V1_KEYS = frozenset(
     }
 )
 
-#: Content type served by ``/metrics`` (OpenMetrics text exposition).
-OPENMETRICS_CONTENT_TYPE = (
-    "application/openmetrics-text; version=1.0.0; charset=utf-8"
+#: The progress gauges ``/metrics`` derives from the ``/status`` document.
+PROGRESS_GAUGES: tuple[Scraped, ...] = (
+    ("sweep.progress", "gauge", "completed fraction of the grid",
+     itemgetter("progress")),
+    ("sweep.points_total", "gauge", "grid points in this run",
+     itemgetter("total")),
+    ("sweep.points_completed", "gauge", "points finished so far",
+     itemgetter("completed")),
+    ("sweep.points_failed", "gauge", "points quarantined so far",
+     itemgetter("failed")),
+    ("sweep.cache_hit_rate", "gauge", "cache hits / attempted points",
+     itemgetter("cache_hit_rate")),
+    ("sweep.throughput_pts_per_s", "gauge", "completed points per second",
+     itemgetter("throughput_pts_per_s")),
+    ("sweep.workers_seen", "gauge", "distinct worker processes observed",
+     lambda doc: len(doc["workers"])),
 )
-
-#: Default record count for ``/logs`` when ``n`` is not given.
-DEFAULT_LOG_TAIL = 100
 
 
 class MonitorError(ReproError):
@@ -124,7 +116,7 @@ class MonitorError(ReproError):
 
 
 # ---------------------------------------------------------------- sweep status
-class SweepStatus:
+class SweepStatus(LiveStatus):
     """Thread-safe live accounting of one sweep run.
 
     The runner calls the ``mark_*`` methods from its outcome loop; the
@@ -135,23 +127,15 @@ class SweepStatus:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        super().__init__(self._status_document, scraped=PROGRESS_GAUGES)
         self.run_id: str | None = None
         self.state = "idle"
-        self.total = 0
-        self.simulated = 0
-        self.cached = 0
-        self.failed = 0
-        self.retries = 0
-        self.resumed = 0
-        self.jobs = 0
+        self.total = self.simulated = self.cached = self.failed = 0
+        self.retries = self.resumed = self.jobs = 0
         self._started_perf: float | None = None
         self._finished_perf: float | None = None
         #: worker_id -> {"points": n, "last_point": i, "last_seen_s": t}
         self._workers: dict[int, dict[str, Any]] = {}
-        #: canonical QuarantineReason value -> count of quarantined points
-        self._failure_reasons: dict[str, int] = {}
-        self._registry = MetricsRegistry()
 
     # ------------------------------------------------------------- transitions
     def start_run(
@@ -159,32 +143,29 @@ class SweepStatus:
         jobs: int = 1, resumed: int = 0,
     ) -> None:
         """Begin a run: reset counters, record identity and grid size."""
-        with self._lock:
+        with self.lock:
             self.run_id = run_id
             self.state = "running"
             self.total = int(total)
-            self.simulated = 0
-            self.cached = 0
-            self.failed = 0
-            self.retries = 0
+            self.simulated = self.cached = self.failed = self.retries = 0
             self.resumed = int(resumed)
             self.jobs = int(jobs)
             self._started_perf = time.perf_counter()
             self._finished_perf = None
             self._workers = {}
-            self._failure_reasons = {}
-            self._registry = MetricsRegistry()
+            self.failure_reasons.clear()
+            self.registry = MetricsRegistry()
 
     def finish(self) -> None:
         """Mark the run complete (``/status`` reports ``"done"``)."""
-        with self._lock:
+        with self.lock:
             self.state = "done"
             self._finished_perf = time.perf_counter()
 
     # --------------------------------------------------------------- progress
     def mark_cached(self, index: int) -> None:
         """One point replayed from the result cache."""
-        with self._lock:
+        with self.lock:
             self.cached += 1
 
     def mark_ok(
@@ -202,13 +183,13 @@ class SweepStatus:
         ``sweep.point_duration_s`` latency histogram behind the
         ``latency`` section of ``/status``.
         """
-        with self._lock:
+        with self.lock:
             self.simulated += 1
             if metrics:
-                self._registry.merge_snapshot(metrics)
+                self.registry.merge_snapshot(metrics)
             if duration_s is not None:
                 observe_latency(
-                    self._registry,
+                    self.registry,
                     "sweep.point_duration_s",
                     float(duration_s),
                     POINT_DURATION_BOUNDS,
@@ -230,99 +211,55 @@ class SweepStatus:
         :class:`~repro.sweep.resilience.QuarantineReason` value from the
         failure record; ``/status`` reports the per-reason breakdown.
         """
-        with self._lock:
+        with self.lock:
             self.failed += 1
             if reason:
-                key = str(reason)
-                self._failure_reasons[key] = (
-                    self._failure_reasons.get(key, 0) + 1
-                )
+                self.failure_reasons[str(reason)] += 1
 
     def mark_retry(self, index: int, attempts: int = 1) -> None:
         """``attempts`` extra attempts were spent on one point."""
-        with self._lock:
+        with self.lock:
             self.retries += int(attempts)
 
     # ------------------------------------------------------------------ views
-    def _completed(self) -> int:
-        return self.simulated + self.cached + self.failed
-
-    def snapshot(self) -> dict[str, Any]:
-        """The ``/status`` JSON document (consistent point-in-time copy)."""
-        with self._lock:
-            completed = self._completed()
-            now = time.perf_counter()
-            if self._started_perf is None:
-                elapsed = 0.0
-            else:
-                end = (
-                    self._finished_perf
-                    if self._finished_perf is not None
-                    else now
-                )
-                elapsed = max(0.0, end - self._started_perf)
-            throughput = completed / elapsed if elapsed > 0 else 0.0
-            remaining = max(0, self.total - completed - self.resumed)
-            eta_s = remaining / throughput if throughput > 0 else None
-            attempted = self.simulated + self.cached
-            return {
-                "schema": STATUS_SCHEMA,
-                "run_id": self.run_id,
-                "state": self.state,
-                "total": self.total,
-                "completed": completed + self.resumed,
-                "simulated": self.simulated,
-                "cached": self.cached,
-                "resumed": self.resumed,
-                "failed": self.failed,
-                "failure_reasons": dict(sorted(self._failure_reasons.items())),
-                "retries": self.retries,
-                "jobs": self.jobs,
-                "progress": (
-                    (completed + self.resumed) / self.total
-                    if self.total
-                    else 0.0
-                ),
-                "cache_hit_rate": (
-                    self.cached / attempted if attempted else 0.0
-                ),
-                "elapsed_s": elapsed,
-                "throughput_pts_per_s": throughput,
-                "eta_s": eta_s,
-                "workers": {
-                    str(worker_id): dict(entry)
-                    for worker_id, entry in sorted(self._workers.items())
-                },
-                "latency": summarize_latencies(self._registry.as_dict()),
-            }
-
-    def metrics_snapshot(self) -> dict[str, dict]:
-        """The live registry plus progress gauges (``/metrics`` source)."""
-        with self._lock:
-            merged = MetricsRegistry.from_snapshot(self._registry.as_dict())
-        snap = self.snapshot()
-        merged.gauge(
-            "sweep.progress", help="completed fraction of the grid"
-        ).set(snap["progress"])
-        merged.gauge(
-            "sweep.points_total", help="grid points in this run"
-        ).set(snap["total"])
-        merged.gauge(
-            "sweep.points_completed", help="points finished so far"
-        ).set(snap["completed"])
-        merged.gauge(
-            "sweep.points_failed", help="points quarantined so far"
-        ).set(snap["failed"])
-        merged.gauge(
-            "sweep.cache_hit_rate", help="cache hits / attempted points"
-        ).set(snap["cache_hit_rate"])
-        merged.gauge(
-            "sweep.throughput_pts_per_s", help="completed points per second"
-        ).set(snap["throughput_pts_per_s"])
-        merged.gauge(
-            "sweep.workers_seen", help="distinct worker processes observed"
-        ).set(len(snap["workers"]))
-        return merged.as_dict()
+    def _status_document(
+        self, metrics: dict[str, dict], failure_reasons: dict[str, int]
+    ) -> dict[str, Any]:
+        """The ``/status`` JSON document (called with the lock held)."""
+        completed = self.simulated + self.cached + self.failed
+        start, end = self._started_perf, self._finished_perf
+        if end is None:
+            end = time.perf_counter()
+        elapsed = 0.0 if start is None else max(0.0, end - start)
+        throughput = completed / elapsed if elapsed > 0 else 0.0
+        remaining = max(0, self.total - completed - self.resumed)
+        attempted = self.simulated + self.cached
+        return {
+            "schema": STATUS_SCHEMA,
+            "run_id": self.run_id,
+            "state": self.state,
+            "total": self.total,
+            "completed": completed + self.resumed,
+            "simulated": self.simulated,
+            "cached": self.cached,
+            "resumed": self.resumed,
+            "failed": self.failed,
+            "failure_reasons": failure_reasons,
+            "retries": self.retries,
+            "jobs": self.jobs,
+            "progress": (
+                (completed + self.resumed) / self.total if self.total else 0.0
+            ),
+            "cache_hit_rate": self.cached / attempted if attempted else 0.0,
+            "elapsed_s": elapsed,
+            "throughput_pts_per_s": throughput,
+            "eta_s": remaining / throughput if throughput > 0 else None,
+            "workers": {
+                str(worker_id): dict(entry)
+                for worker_id, entry in sorted(self._workers.items())
+            },
+            "latency": summarize_latencies(metrics),
+        }
 
 
 # ----------------------------------------------------------------- HTTP server
@@ -340,6 +277,7 @@ class SweepMonitor(EndpointServer):
     request gets its own thread, so a slow scraper never blocks the
     sweep).  ``port=0`` binds an ephemeral port; read :attr:`port` /
     :attr:`url` after construction.  :meth:`close` is idempotent.
+    ``ring`` (default: the global one) feeds ``/logs`` and the bundle.
     """
 
     error = MonitorError
@@ -355,47 +293,11 @@ class SweepMonitor(EndpointServer):
         host: str = "127.0.0.1",
         ring: RingBufferSink | None = None,
     ) -> None:
-        self.status = status if status is not None else SweepStatus()
+        self.live = status if status is not None else SweepStatus()
         self._ring = ring
-        super().__init__(
-            {
-                ("GET", "/status"): lambda request: request.send_json(
-                    self.status.snapshot()
-                ),
-                ("GET", "/metrics"): self._get_metrics,
-                ("GET", "/logs"): self._get_logs,
-            },
-            port=port,
-            host=host,
-        )
-
-    @property
-    def ring(self) -> RingBufferSink:
-        """The ring buffer ``/logs`` serves (global pipeline's default)."""
-        return self._ring if self._ring is not None else global_ring()
-
-    def _get_metrics(self, request: EndpointHandler) -> None:
-        text = render_openmetrics(self.status.metrics_snapshot())
-        request.send_body(200, OPENMETRICS_CONTENT_TYPE, text.encode("utf-8"))
-
-    def _get_logs(self, request: EndpointHandler) -> None:
-        query = parse_qs(request.query)
-        try:
-            n = int(query.get("n", [str(DEFAULT_LOG_TAIL)])[0])
-        except ValueError:
-            request.send_json(
-                {"error": "query parameter n must be an integer"}, code=400
-            )
-            return
-        records = self.ring.tail(n)
-        request.send_json(
-            {
-                "schema": "repro-logs-tail/v1",
-                "count": len(records),
-                "dropped": self.ring.dropped,
-                "records": [record.as_dict() for record in records],
-            }
-        )
+        self.recorder = FlightRecorder()
+        self.live.attach(self.recorder, ring)
+        super().__init__({}, port=port, host=host)
 
 
 # ------------------------------------------------------------------- tail view

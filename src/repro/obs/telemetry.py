@@ -344,7 +344,7 @@ class WorkerTelemetry(_Recorder):
                 TelemetryEvent.from_dict(entry)
                 for entry in data.get("events", [])
             ]
-            telemetry.registry = MetricsRegistry.from_snapshot(
+            telemetry.registry = MetricsRegistry().merge_snapshot(
                 data.get("metrics", {})
             )
             telemetry.logs.extend(

@@ -17,8 +17,9 @@ offline path already trusts:
   deadlines with worker cancellation, in-flight coalescing through the
   sweep cache's content addresses, retries under the sweep
   :class:`~repro.sweep.resilience.RetryPolicy`, graceful drain;
-* :mod:`repro.serve.app` -- the stdlib HTTP transport (``POST /plan``
-  plus ``/healthz`` ``/readyz`` ``/status`` ``/metrics``).
+* :mod:`repro.serve.app` -- the stdlib HTTP transport (``POST /plan``,
+  ``/healthz`` and ``/readyz`` on top of the shared ``/status``
+  ``/metrics`` ``/logs`` ``/debug/bundle`` route set).
 
 See ``docs/serving.md`` for endpoint and overload semantics.
 """

@@ -2,9 +2,10 @@
 
 :class:`PlanServer` wraps one :class:`~repro.serve.service.PlanService`
 in the :class:`~repro.obs.endpoint.EndpointServer` the sweep monitor
-(:class:`~repro.obs.monitor.SweepMonitor`) runs on too: a daemon thread,
-ephemeral ports via ``port=0``, idempotent ``close()``, routing on the
-path without its query string.  This module supplies only the routes:
+runs on too, which serves the shared ``/status``
+(:data:`~repro.serve.schemas.SERVE_STATUS_SCHEMA`), ``/metrics``,
+``/logs`` and ``/debug/bundle`` routes from the service's live status
+and flight recorder.  This module adds the service's own routes:
 
 * ``POST /plan``  -- one plan request; 200 (envelope), 400 (bad
   request), 429 + ``Retry-After`` (shed), 503 (degraded / shutdown),
@@ -12,13 +13,6 @@ path without its query string.  This module supplies only the routes:
 * ``GET /healthz`` -- liveness: 200 whenever the process serves HTTP.
 * ``GET /readyz``  -- readiness: 200 while admitting with a closed
   breaker, 503 while draining or degraded.
-* ``GET /status``  -- the service status document
-  (:data:`~repro.serve.schemas.SERVE_STATUS_SCHEMA`).
-* ``GET /metrics`` -- OpenMetrics text exposition of the ``serve_*``
-  family (bucket tails carry trace_id exemplars).
-* ``GET /debug/bundle`` -- an on-demand flight-recorder bundle
-  (:data:`~repro.obs.flight.FLIGHT_SCHEMA`); 404 when the service runs
-  without a recorder.
 
 ``POST /plan`` honours an incoming W3C ``traceparent`` header and
 returns one on every response, so callers can stitch the service's
@@ -39,8 +33,6 @@ import threading
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.endpoint import EndpointServer
-from repro.obs.monitor import OPENMETRICS_CONTENT_TYPE
-from repro.obs.openmetrics import render_openmetrics
 from repro.serve.schemas import ServeError, error_envelope
 from repro.serve.service import PlanService
 
@@ -79,17 +71,14 @@ class PlanServer(EndpointServer):
         host: str = "127.0.0.1",
     ) -> None:
         self.service = service
+        self.live = service.live
+        self.recorder = service.recorder
         super().__init__(
             {
                 ("GET", "/healthz"): lambda request: request.send_json(
                     {"ok": True}
                 ),
                 ("GET", "/readyz"): self._get_readyz,
-                ("GET", "/status"): lambda request: request.send_json(
-                    service.status_snapshot()
-                ),
-                ("GET", "/metrics"): self._get_metrics,
-                ("GET", "/debug/bundle"): self._get_bundle,
                 ("POST", "/plan"): self._post_plan,
             },
             port=port,
@@ -99,23 +88,6 @@ class PlanServer(EndpointServer):
     def _get_readyz(self, request: EndpointHandler) -> None:
         ready = self.service.ready()
         request.send_json({"ready": ready}, code=200 if ready else 503)
-
-    def _get_metrics(self, request: EndpointHandler) -> None:
-        text = render_openmetrics(self.service.metrics_snapshot())
-        request.send_body(200, OPENMETRICS_CONTENT_TYPE, text.encode("utf-8"))
-
-    def _get_bundle(self, request: EndpointHandler) -> None:
-        recorder = self.service.recorder
-        if recorder is None:
-            request.send_json(
-                error_envelope(
-                    "no-recorder",
-                    "service is running without a flight recorder",
-                ),
-                code=404,
-            )
-        else:
-            request.send_json(recorder.capture("on-demand"))
 
     def _post_plan(self, request: EndpointHandler) -> None:
         try:
@@ -178,8 +150,7 @@ def serve_forever(
     if announce is not None:
         # Deliberate rendering path: the CLI's startup banner.
         print(  # repro: ignore[LOG001]
-            f"serving at {server.url} "
-            "(POST /plan; /healthz /readyz /status /metrics)",
+            f"serving at {server.url} ({' '.join(server.endpoints())})",
             file=announce,
         )
     try:

@@ -41,6 +41,7 @@ import asyncio
 import itertools
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import CancelledError as FutureCancelled
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -57,8 +58,8 @@ from repro.obs.histogram import (
     observe_latency,
     summarize_latencies,
 )
-from repro.obs.logging import get_logger, global_ring
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.live import LiveStatus, Scraped
+from repro.obs.logging import get_logger
 from repro.obs.telemetry import ClockAnchor, TelemetryError, WorkerTelemetry
 from repro.obs.tracectx import RequestTracer, TraceContext, parse_traceparent
 from repro.serialization import system_to_dict
@@ -98,22 +99,46 @@ SHED_RETRY_AFTER_S = 1
 #: How often the drain loop re-checks for idleness, seconds.
 _DRAIN_POLL_S = 0.02
 
-#: The service's event counters (``/status`` ``counters`` keys), each
-#: exported as ``serve.<key>`` on ``/metrics`` with this help text.
-_COUNTER_HELP = {
-    "deadline_misses": "requests past their deadline",
-    "cache_hits": "points answered from cache",
-    "coalesced": "point computations joined in flight",
-    "computed_points": "points computed by workers",
-    "degraded_answers": "cache-only degraded 200s",
-    "degraded_refusals": "degraded 503 refusals",
-    "compute_failures": "requests failed by workers",
-    "flight_dumps": "flight-recorder bundles written",
+#: The service's event counters, declared once in its live registry;
+#: ``/status`` lists them under ``counters`` without the prefix.
+_COUNTERS = {
+    "serve.deadline_misses": "requests past their deadline",
+    "serve.cache_hits": "points answered from cache",
+    "serve.coalesced": "point computations joined in flight",
+    "serve.computed_points": "points computed by workers",
+    "serve.degraded_answers": "cache-only degraded 200s",
+    "serve.degraded_refusals": "degraded 503 refusals",
+    "serve.compute_failures": "requests failed by workers",
+    "serve.flight_dumps": "flight-recorder bundles written",
     **{
-        f"workers_replaced.{key}": help_text
+        f"serve.workers_replaced.{key}": help_text
         for key, help_text in WORKER_REPLACEMENTS.items()
     },
 }
+
+
+def _admitted(key: str) -> Callable[[dict[str, Any]], float]:
+    return lambda status: status["admission"][key]
+
+
+#: Families ``/metrics`` derives from the ``/status`` document: the
+#: admission ledger and the breaker own these values.
+_SCRAPED: tuple[Scraped, ...] = (
+    ("serve.queue_depth", "gauge", "admitted requests in flight", _admitted("depth")),
+    ("serve.queue_limit", "gauge", "admission bound", _admitted("limit")),
+    ("serve.draining", "gauge", "1 while draining, else 0", _admitted("draining")),
+    ("serve.breaker_state", "gauge", "0 closed, 1 half-open, 2 open",
+     lambda status: STATE_VALUES[status["breaker"]["state"]]),
+    ("serve.requests", "counter", "requests submitted", _admitted("submitted")),
+    ("serve.accepted", "counter", "requests admitted", _admitted("accepted")),
+    ("serve.shed", "counter", "requests shed with 429", _admitted("shed")),
+    ("serve.completed", "counter", "admitted requests answered",
+     _admitted("completed")),
+    ("serve.cancelled", "counter", "admitted requests abandoned",
+     _admitted("cancelled")),
+    ("serve.breaker_trips", "counter", "times the breaker opened",
+     lambda status: status["breaker"]["trips"]),
+)
 
 
 class _PointFailure(ServeError):
@@ -143,15 +168,6 @@ def _consume_exception(task: "asyncio.Task[Any]") -> None:
     """Done-callback: retrieve an abandoned task's exception quietly."""
     if not task.cancelled():
         task.exception()
-
-
-def _log_ring_snapshot(n: int = 200) -> dict[str, Any]:
-    """The process log ring as a flight-bundle section."""
-    ring = global_ring()
-    return {
-        "records": [record.as_dict() for record in ring.tail(n)],
-        "dropped": ring.dropped,
-    }
 
 
 class PlanService:
@@ -220,47 +236,40 @@ class PlanService:
         #: cache key -> in-flight shared computation (loop-confined).
         self._inflight: dict[str, _SharedPoint] = {}
         self._seq = itertools.count(1)
-        self._metrics_lock = threading.Lock()
-        self._counters = dict.fromkeys(_COUNTER_HELP, 0)
-        #: canonical QuarantineReason value -> count of failed points.
-        self._failure_reasons: dict[str, int] = {}
+        #: Counters, latency histograms (end-to-end, queue-wait, attempt,
+        #: engine phase) and failure reasons; its lock also guards
+        #: ``_active``.
+        self.live = LiveStatus(
+            self._status_document, counters=_COUNTERS, scraped=_SCRAPED
+        )
         self._closed = False
         self.tracer = tracer
         self.recorder = recorder
         #: Clock anchor pairing wall and perf time, used to shift worker
         #: span timestamps into this process's perf domain.
         self._anchor = ClockAnchor.now()
-        #: Latency histograms (end-to-end, queue-wait, attempt, engine
-        #: phase), guarded by ``_metrics_lock`` like the counters.
-        self._latency = MetricsRegistry()
         #: request_id -> in-flight descriptor (the flight recorder's
         #: in-flight request table).
         self._active: dict[str, dict[str, Any]] = {}
         if self.breaker.on_transition is None:
             self.breaker.on_transition = self._on_breaker_transition
         if recorder is not None:
-            self._register_flight_providers(recorder)
+            # Serve's flight sections on top of the shared three.
+            self.live.attach(recorder)
+            recorder.register("breaker", self.breaker.snapshot)
+            recorder.register("config", lambda: system_to_dict(self.config))
+            recorder.register("in_flight", self.inflight_snapshot)
+            recorder.register(
+                "traces",
+                lambda: self.tracer.snapshot() if self.tracer is not None else [],
+            )
 
     # ------------------------------------------------------------- forensics
-    def _register_flight_providers(self, recorder: FlightRecorder) -> None:
-        """Wire every flight-bundle section to its live snapshot source."""
-        recorder.register("status", self.status_snapshot)
-        recorder.register("metrics", self.metrics_snapshot)
-        recorder.register("breaker", self.breaker.snapshot)
-        recorder.register(
-            "config", lambda: system_to_dict(self.config)
-        )
-        recorder.register("in_flight", self.inflight_snapshot)
-        recorder.register("logs", _log_ring_snapshot)
-        recorder.register(
-            "traces",
-            lambda: self.tracer.snapshot() if self.tracer is not None else [],
-        )
 
     def inflight_snapshot(self) -> list[dict[str, Any]]:
         """The in-flight request table (flight-bundle section)."""
         now = time.perf_counter()
-        with self._metrics_lock:
+        with self.live.lock:
             entries = [dict(entry) for entry in self._active.values()]
         for entry in entries:
             entry["age_s"] = max(0.0, now - entry.pop("started_s"))
@@ -277,7 +286,7 @@ class PlanService:
                 "flight dump failed", trigger=trigger, error=str(exc)
             )
             return None
-        self._bump("flight_dumps")
+        self.live.count("serve.flight_dumps")
         context = {"trace_id": trace_id} if trace_id else {}
         get_logger("repro.serve", **context).warning(
             "flight bundle dumped", event="FLIGHT_DUMP", trigger=trigger, path=path
@@ -450,7 +459,7 @@ class PlanService:
             )
         disposition = "cancelled"
         admitted_s = time.perf_counter()
-        with self._metrics_lock:
+        with self.live.lock:
             self._active[request_id] = {
                 "request_id": request_id,
                 "trace_id": ctx.trace_id,
@@ -481,10 +490,10 @@ class PlanService:
             )
         finally:
             duration_s = time.perf_counter() - admitted_s
-            with self._metrics_lock:
+            with self.live.lock:
                 self._active.pop(request_id, None)
                 observe_latency(
-                    self._latency,
+                    self.live.registry,
                     "serve.request_s",
                     duration_s,
                     SERVE_LATENCY_BOUNDS,
@@ -519,15 +528,13 @@ class PlanService:
             "repro.serve", request_id=request_id, trace_id=ctx.trace_id
         )
         queue_wait_s = max(0.0, time.perf_counter() - admitted_s)
-        with self._metrics_lock:
-            observe_latency(
-                self._latency,
-                "serve.queue_wait_s",
-                queue_wait_s,
-                QUEUE_WAIT_BOUNDS,
-                exemplar=ctx.trace_id,
-                help="admission-to-loop-pickup wait (seconds)",
-            )
+        self.live.observe(
+            "serve.queue_wait_s",
+            queue_wait_s,
+            QUEUE_WAIT_BOUNDS,
+            exemplar=ctx.trace_id,
+            help="admission-to-loop-pickup wait (seconds)",
+        )
         deadline_s = request.deadline_s or self.default_deadline_s
         results: dict[int, dict[str, Any]] = {}
         missing: list[tuple[int, str, dict[str, Any]]] = []
@@ -539,7 +546,7 @@ class PlanService:
                 missing.append((index, key, payload))
         cached = len(results)
         if cached:
-            self._bump("cache_hits", cached)
+            self.live.count("serve.cache_hits", cached)
         log.info(
             "request admitted",
             event="REQUEST_START",
@@ -553,7 +560,7 @@ class PlanService:
         coalesced = 0
         if missing:
             if not self.breaker.allow():
-                self._bump("degraded_refusals")
+                self.live.count("serve.degraded_refusals")
                 retry_after = max(1, int(self.breaker.retry_after_s()) or 1)
                 log.warning(
                     "degraded refusal",
@@ -576,7 +583,7 @@ class PlanService:
             shares = [self._acquire(key, payload, ctx) for _, key, payload in missing]
             coalesced = sum(1 for share in shares if share.waiters > 1)
             if coalesced:
-                self._bump("coalesced", coalesced)
+                self.live.count("serve.coalesced", coalesced)
             for share in shares:
                 if share.waiters > 1 and share.trace_id != ctx.trace_id:
                     if self.tracer is not None:
@@ -595,7 +602,7 @@ class PlanService:
                     timeout=deadline_s,
                 )
             except (asyncio.TimeoutError, asyncio.CancelledError) as exc:
-                self._bump("deadline_misses")
+                self.live.count("serve.deadline_misses")
                 log.warning("deadline missed", deadline_s=deadline_s)
                 if isinstance(exc, asyncio.CancelledError) and self._closed:
                     raise
@@ -613,7 +620,7 @@ class PlanService:
                     "cancelled",
                 )
             except _PointFailure as exc:
-                self._bump("compute_failures")
+                self.live.count("serve.compute_failures")
                 log.error(
                     "compute failed", error=exc.error, reason=exc.reason
                 )
@@ -635,12 +642,12 @@ class PlanService:
                     self._release(share)
             for (index, _, _), result in zip(missing, computed):
                 results[index] = result
-            self._bump("computed_points", len(missing))
+            self.live.count("serve.computed_points", len(missing))
         elif self.breaker.state != CLOSED:
             # Every point answered from cache while the pool is sick:
             # still a correct document, flagged so callers know.
             degraded = True
-            self._bump("degraded_answers")
+            self.live.count("serve.degraded_answers")
 
         ordered = [results[index] for index in range(len(payloads))]
         envelope = response_envelope(
@@ -757,9 +764,7 @@ class PlanService:
                 return outcome["result"]
             failure = settled["failure"]
             self.breaker.record_failure()
-            with self._metrics_lock:
-                reason = failure["reason"]
-                self._failure_reasons[reason] = self._failure_reasons.get(reason, 0) + 1
+            self.live.fail(failure["reason"])
             raise _PointFailure(failure["error"], failure["message"], failure["reason"])
         finally:
             if self.tracer is not None:
@@ -777,12 +782,12 @@ class PlanService:
         """``serve.attempt_s``, worker replacements and the tracer's
         ``attempt`` spans of a point."""
         replaced = replaced_workers(attempts)
-        with self._metrics_lock:
+        with self.live.lock:
             for key, count in replaced.items():
-                self._counters[f"workers_replaced.{key}"] += count
+                self.live.registry.counter(f"serve.workers_replaced.{key}").inc(count)
             for record in attempts:
                 observe_latency(
-                    self._latency,
+                    self.live.registry,
                     "serve.attempt_s",
                     record["duration_s"],
                     ATTEMPT_BOUNDS,
@@ -827,90 +832,36 @@ class PlanService:
                 **span.meta,
             )
             if span.name == "simulate":
-                with self._metrics_lock:
-                    observe_latency(
-                        self._latency,
-                        "serve.engine_phase_s",
-                        duration_s,
-                        ENGINE_PHASE_BOUNDS,
-                        exemplar=span.context.trace_id,
-                        help="engine simulation phase inside a worker (seconds)",
-                    )
+                self.live.observe(
+                    "serve.engine_phase_s",
+                    duration_s,
+                    ENGINE_PHASE_BOUNDS,
+                    exemplar=span.context.trace_id,
+                    help="engine simulation phase inside a worker (seconds)",
+                )
 
     # ----------------------------------------------------------------- metrics
-    def _bump(self, name: str, by: int = 1) -> None:
-        with self._metrics_lock:
-            self._counters[name] += by
-
     def _last_failure_reason(self) -> str | None:
         """The most common recorded failure reason (degraded envelopes)."""
-        with self._metrics_lock:
-            if not self._failure_reasons:
-                return None
-            return max(
-                sorted(self._failure_reasons),
-                key=lambda reason: self._failure_reasons[reason],
-            )
+        with self.live.lock:
+            reasons = self.live.failure_reasons
+            return min(reasons, key=lambda r: (-reasons[r], r), default=None)
 
-    def status_snapshot(self) -> dict[str, Any]:
-        """The ``/status`` JSON document of the service."""
+    def _status_document(
+        self, metrics: dict[str, dict], failure_reasons: dict[str, int]
+    ) -> dict[str, Any]:
+        """The ``/status`` document (called with the live lock held)."""
         admission = self.admission.snapshot()
-        with self._metrics_lock:
-            counters = dict(self._counters)
-            reasons = dict(sorted(self._failure_reasons.items()))
-            latency = self._latency.as_dict()
         return {
             "schema": SERVE_STATUS_SCHEMA,
             "state": "draining" if admission["draining"] else "serving",
             "ready": self.ready(),
             "admission": admission,
             "breaker": self.breaker.snapshot(),
-            "counters": counters,
-            "failure_reasons": reasons,
-            "latency": summarize_latencies(latency),
+            "counters": {
+                name.removeprefix("serve."): int(metrics[name]["value"])
+                for name in _COUNTERS
+            },
+            "failure_reasons": failure_reasons,
+            "latency": summarize_latencies(metrics),
         }
-
-    def metrics_snapshot(self) -> dict[str, dict]:
-        """The ``serve_*`` gauge/counter family for ``/metrics``."""
-        snap = self.status_snapshot()
-        admission = snap["admission"]
-        registry = MetricsRegistry()
-        registry.gauge(
-            "serve.queue_depth", help="admitted requests in flight"
-        ).set(admission["depth"])
-        registry.gauge(
-            "serve.queue_limit", help="admission bound"
-        ).set(admission["limit"])
-        registry.gauge(
-            "serve.draining", help="1 while draining, else 0"
-        ).set(1.0 if admission["draining"] else 0.0)
-        registry.gauge(
-            "serve.breaker_state",
-            help="0 closed, 1 half-open, 2 open",
-        ).set(STATE_VALUES[snap["breaker"]["state"]])
-        registry.counter(
-            "serve.requests", help="requests submitted"
-        ).inc(admission["submitted"])
-        registry.counter(
-            "serve.accepted", help="requests admitted"
-        ).inc(admission["accepted"])
-        registry.counter(
-            "serve.shed", help="requests shed with 429"
-        ).inc(admission["shed"])
-        registry.counter(
-            "serve.completed", help="admitted requests answered"
-        ).inc(admission["completed"])
-        registry.counter(
-            "serve.cancelled", help="admitted requests abandoned"
-        ).inc(admission["cancelled"])
-        registry.counter(
-            "serve.breaker_trips", help="times the breaker opened"
-        ).inc(snap["breaker"]["trips"])
-        for name, help_text in _COUNTER_HELP.items():
-            registry.counter(f"serve.{name}", help=help_text).inc(
-                snap["counters"][name]
-            )
-        with self._metrics_lock:
-            latency = self._latency.as_dict()
-        registry.merge_snapshot(latency)
-        return registry.as_dict()

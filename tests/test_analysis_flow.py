@@ -125,6 +125,29 @@ class TestCONC001:
         assert "self.count" in diag.message
         assert "reset" in diag.message
 
+    def test_positive_lock_inherited_from_base_class(self, tmp_path):
+        source = """\
+            import threading
+
+
+            class Base:
+                def __init__(self):
+                    self.lock = threading.Lock()
+
+
+            class Progress(Base):
+                def bump(self):
+                    with self.lock:
+                        self.count += 1
+
+                def reset(self):
+                    self.count = 0
+        """
+        diags = lint_tree(tmp_path, {"progress.py": source}, "CONC001")
+        assert [d.rule_id for d in diags] == ["CONC001"]
+        assert "Progress" in diags[0].message
+        assert "reset" in diags[0].message
+
     def test_negative_all_writes_locked(self, tmp_path):
         source = """\
             import threading

@@ -46,11 +46,14 @@ class TestGeneratedDocs:
         assert "(undocumented)" not in rendered
 
     def test_tool_runs_standalone(self, tmp_path):
+        out = tmp_path / "api.md"
         result = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "gen_api_docs.py")],
+            [sys.executable, str(ROOT / "tools" / "gen_api_docs.py"), str(out)],
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert result.returncode == 0
         assert "wrote" in result.stdout
+        committed = (ROOT / "docs" / "api.md").read_text(encoding="utf-8")
+        assert out.read_text(encoding="utf-8") == committed

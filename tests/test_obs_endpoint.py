@@ -14,20 +14,22 @@ import repro
 from repro.obs.monitor import MonitorError, SweepMonitor, SweepStatus
 from repro.serve import PlanServer, PlanService, ServeError
 
+#: The route set both servers serve.
+SHARED = ["/status", "/metrics", "/logs", "/debug/bundle"]
+
 #: kind -> (error class, port-error text, Server header token, 404 list)
 SERVERS = {
     "monitor": (
         MonitorError,
         "invalid monitor port",
         "repro-monitor/1",
-        ["/status", "/metrics", "/logs"],
+        SHARED,
     ),
     "serve": (
         ServeError,
         "invalid serve port",
         "repro-serve/1",
-        ["/healthz", "/readyz", "/status", "/metrics", "/debug/bundle",
-         "POST /plan"],
+        [*SHARED, "/healthz", "/readyz", "POST /plan"],
     ),
 }
 
@@ -85,6 +87,19 @@ class TestEndpointServers:
             "error": "unknown path '/nope'",
             "endpoints": SERVERS[kind][3],
         }
+
+    def test_logs_rejects_non_integer_n_alike(self, server):
+        code, headers, body = request(server.url + "/logs?n=abc")
+        assert code == 400
+        assert headers["Content-Type"] == "application/json; charset=utf-8"
+        assert json.loads(body) == {
+            "error": "query parameter n must be an integer"
+        }
+        code, _, body = request(server.url + "/logs?n=1")
+        assert code == 200
+        tail = json.loads(body)
+        assert tail["schema"] == "repro-logs-tail/v1"
+        assert tail["count"] == len(tail["records"]) <= 1
 
     def test_post_routing(self, kind, server):
         if kind == "monitor":

@@ -1,6 +1,8 @@
 """Live monitoring: SweepStatus accounting and the embedded HTTP server."""
 
 import json
+import sys
+import threading
 import urllib.error
 import urllib.request
 
@@ -13,6 +15,7 @@ from repro.obs import (
     SweepStatus,
     parse_openmetrics,
     render_status_line,
+    validate_flight_bundle,
 )
 from repro.obs.logging import (
     LogRecord,
@@ -22,7 +25,7 @@ from repro.obs.logging import (
     reset_logging,
     validate_log_line,
 )
-from repro.obs.monitor import OPENMETRICS_CONTENT_TYPE
+from repro.obs.endpoint import OPENMETRICS_CONTENT_TYPE
 from repro.sweep import SweepGrid, run_sweep
 
 
@@ -156,6 +159,44 @@ class TestSweepStatus:
         status.start_run(2, run_id="fresh")
         assert status.snapshot()["failure_reasons"] == {}
 
+    def test_every_scrape_is_one_instant(self):
+        """Progress gauges and the registry come from one lock hold: a
+        ``mark_ok`` never lands between them, so the completed count
+        always equals resumed + cached + failed + timed points."""
+        status = SweepStatus()
+        status.start_run(10_000, run_id="instant", resumed=3)
+        status.mark_cached(0)
+        status.mark_failed(1, reason="timeout")
+        stop = threading.Event()
+
+        def finish_points():
+            index = 0
+            while not stop.is_set():
+                index += 1
+                status.mark_ok(index, duration_s=0.1)
+
+        workers = [threading.Thread(target=finish_points) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        # Switch threads often, so a scrape that reads its gauges and its
+        # registry under two lock holds gets interleaved.
+        sys.setswitchinterval(1e-5)
+        for worker in workers:
+            worker.start()
+        try:
+            for _ in range(300):
+                snap = status.metrics_snapshot()
+                timed = snap.get("sweep.point_duration_s", {"count": 0})
+                assert snap["sweep.points_completed"]["value"] == (
+                    3 + 1 + 1 + timed["count"]
+                )
+        finally:
+            stop.set()
+            for worker in workers:
+                worker.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert status.snapshot()["simulated"] > 0
+
 
 @pytest.fixture()
 def monitor():
@@ -227,7 +268,9 @@ class TestEndpoints:
     def test_unknown_path_404_lists_endpoints(self, monitor):
         code, doc = get_json(monitor.url + "/nope")
         assert code == 404
-        assert doc["endpoints"] == ["/status", "/metrics", "/logs"]
+        assert doc["endpoints"] == [
+            "/status", "/metrics", "/logs", "/debug/bundle",
+        ]
 
 
 GRID = SweepGrid(sizes=(128,), layouts=("row-major", "ddl"))
@@ -355,6 +398,21 @@ class TestCliCompose:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_bundle_fetches_a_monitor_flight_bundle(
+        self, monitor, tmp_path, capsys
+    ):
+        out = tmp_path / "sweep-bundle.json"
+        assert main(["bundle", "--url", monitor.url, "--out", str(out)]) == 0
+        assert f"wrote {out}" in capsys.readouterr().out
+        bundle = validate_flight_bundle(json.loads(out.read_text("utf-8")))
+        assert bundle["trigger"] == "on-demand"
+        sections = bundle["sections"]
+        assert set(sections) == {"logs", "metrics", "status"}
+        assert sections["status"]["schema"] == STATUS_SCHEMA
+        assert sections["status"]["run_id"] == "feedface"
+        assert sections["metrics"]["sweep.points_completed"]["value"] == 2.0
+        assert sections["logs"]["schema"] == "repro-logs-tail/v1"
 
     def test_profile_monitor_telemetry_compose(self, tmp_path, capsys):
         argv = [

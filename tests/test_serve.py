@@ -427,7 +427,7 @@ class TestServiceHTTP:
             assert service.breaker.state == CLOSED
             code, _, _ = get(server.url + "/readyz")
             assert code == 200
-        status = service.status_snapshot()
+        status = service.live.snapshot()
         # The failing request had two points; whether the second one
         # also records a failure before the first one's cancellation
         # lands is a benign race -- the *vocabulary* is what's pinned.
@@ -529,7 +529,7 @@ class TestWorkerReplacement:
             code, _, _ = service.handle(
                 {"n": 256, "layouts": ["row-major"], "max_requests": 2048}
             )
-            snapshot = service.metrics_snapshot()
+            snapshot = service.live.metrics_snapshot()
         assert code == 500
         families = parse_openmetrics(render_openmetrics(snapshot))
         replaced = {
@@ -552,7 +552,7 @@ class TestWorkerReplacement:
                     }
                 )
                 assert code == 200
-            snapshot = service.metrics_snapshot()
+            snapshot = service.live.metrics_snapshot()
         samples = parse_openmetrics(render_openmetrics(snapshot))[
             "serve_attempt_s"
         ]["samples"]
@@ -752,7 +752,7 @@ class TestFlightRecorder:
         quarantine = tmp_path / "flight" / f"flight-{envelope['trace_id']}.json"
         assert quarantine.exists()
         assert load_flight_bundle(str(quarantine))["trigger"] == "quarantine"
-        assert service.status_snapshot()["counters"]["flight_dumps"] >= 2
+        assert service.live.snapshot()["counters"]["flight_dumps"] >= 2
 
     def test_sigterm_shutdown_dumps_a_bundle(self, tmp_path):
         from repro.obs.flight import FlightRecorder, load_flight_bundle

@@ -16,6 +16,8 @@ demands the issue's overload semantics end to end:
   alike expose a 32-hex ``trace_id`` (PR 10 end-to-end tracing);
 * ``GET /debug/bundle`` returns a valid flight-recorder bundle
   (dumped to ``load-smoke-bundle.json`` as a CI artifact);
+* ``GET /logs?n=20`` returns a ``repro-logs-tail/v1`` tail of at most
+  20 records;
 * **SIGTERM drains cleanly**: the server exits 0 within the drain
   budget and leaves a ``flight-sigterm.json`` forensic bundle behind;
 * **no orphans**: the server runs in its own session, and once it has
@@ -263,6 +265,18 @@ def main(argv: list[str] | None = None) -> int:
             "/debug/bundle returns a valid flight bundle",
             bundle_ok,
             bundle_detail,
+        ))
+
+        with urllib.request.urlopen(url + "/logs?n=20", timeout=5.0) as resp:
+            tail = json.loads(resp.read())
+        records = tail.get("records")
+        checks.append((
+            "/logs serves a repro-logs-tail/v1 tail",
+            tail.get("schema") == "repro-logs-tail/v1"
+            and isinstance(records, list)
+            and tail.get("count") == len(records) <= 20
+            and isinstance(tail.get("dropped"), int),
+            f"schema={tail.get('schema')}, count={tail.get('count')}",
         ))
 
         with urllib.request.urlopen(url + "/metrics", timeout=5.0) as resp:
