@@ -36,7 +36,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from repro.core import (
     AnalyticModel,
@@ -52,7 +52,13 @@ from repro.layouts import optimal_block_geometry
 from repro.memory3d import pact15_hmc_config
 
 if TYPE_CHECKING:
-    from repro.sweep import RetryPolicy
+    from repro.obs import SweepMonitor
+    from repro.sweep import RetryPolicy, SweepResult
+
+#: Seconds ``sweep --monitor`` keeps serving the finished run's
+#: ``"done"`` status before it closes, so a scraper polling a short run
+#: still sees how it ended (Ctrl-C ends the wait early).
+MONITOR_LINGER_S = 3.0
 
 
 def _add_sizes(parser: argparse.ArgumentParser) -> None:
@@ -442,12 +448,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     monitor = None
     status = None
+    chatter = sys.stderr if args.json else sys.stdout
     if args.monitor is not None:
         from repro.obs import SweepMonitor, SweepStatus
 
         status = SweepStatus()
         monitor = SweepMonitor(status, port=args.monitor).start()
-        chatter = sys.stderr if args.json else sys.stdout
         print(
             f"monitoring at {monitor.url} ({' '.join(monitor.endpoints())})",
             file=chatter,
@@ -468,9 +474,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             status=status,
             engine=args.engine,
         )
+        _print_sweep(args, result, telemetry_requested)
+        if monitor is not None:
+            _linger(monitor, chatter)
     finally:
         if monitor is not None:
             monitor.close()
+    return 0
+
+
+def _linger(monitor: SweepMonitor, chatter: TextIO) -> None:
+    """Keep a finished sweep's monitor up for :data:`MONITOR_LINGER_S`."""
+    import time
+
+    print(
+        f"sweep done; {monitor.url} stays up {MONITOR_LINGER_S:g} s "
+        "(Ctrl-C to stop)",
+        file=chatter,
+        flush=True,
+    )
+    sys.stdout.flush()
+    try:
+        time.sleep(MONITOR_LINGER_S)
+    except KeyboardInterrupt:
+        pass
+
+
+def _print_sweep(
+    args: argparse.Namespace, result: SweepResult, telemetry_requested: bool
+) -> None:
+    """Write and print a finished sweep the way the flags ask."""
     if result.telemetry is not None and telemetry_requested:
         _write_sweep_telemetry(args, result)
     if args.out:
@@ -497,7 +530,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.metrics:
         print()
         print(result.registry.render_markdown())
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -637,8 +669,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import glob
-
     from repro.obs.report import build_run_report
     from repro.sweep import SweepGrid, run_sweep
 
@@ -651,14 +681,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             telemetry=True,
         )
         telemetry = sweep.telemetry
-    bench_paths: list[str] = []
-    for pattern in args.bench:
-        bench_paths.extend(sorted(glob.glob(pattern)))
     html_text = build_run_report(
         n=args.size,
         max_requests=args.max_requests,
         telemetry=telemetry,
-        bench_paths=bench_paths,
         include_faults=not args.no_faults,
         seed=args.seed,
     )
@@ -1209,14 +1235,6 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument(
         "--seed", type=int, default=0,
         help="fault-plan seed for the degradation section",
-    )
-    ph.add_argument(
-        "--bench",
-        nargs="*",
-        default=["BENCH_*.json"],
-        metavar="GLOB",
-        help="BENCH_*.json artifact paths/globs, oldest first "
-             "(for the trajectory sparklines)",
     )
     ph.add_argument(
         "--no-faults",

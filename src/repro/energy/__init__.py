@@ -12,7 +12,7 @@ our architectures:
 * FFT datapath energy per butterfly/multiply.
 
 so the DDL's activation-energy savings — the headline of ref [6] — can be
-reproduced quantitatively (``benchmarks/bench_energy.py``).
+reproduced quantitatively (``tests/test_energy.py::TestDDLActivationSavings``).
 """
 
 from repro.energy.params import EnergyParameters, pact15_energy_params

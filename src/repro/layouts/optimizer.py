@@ -21,7 +21,8 @@ is small enough to spread across all banks.
 The raw value is rounded **up** to a power of two (so ``w = s/h`` stays
 integral) and clamped to ``[1, min(s, m)]``.  The trace-driven simulator
 verifies that the resulting layout actually hides all activations
-(benchmarks/bench_ablation_height.py sweeps ``h`` to show the knee).
+(``tests/test_core_simulate.py::TestHeightAblation`` sweeps ``h`` to show
+the knee).
 """
 
 from __future__ import annotations

@@ -129,8 +129,8 @@ class Memory3D:
     events -- ACTIVATE, ROW_HIT, REFRESH_STALL, TSV_CONTENTION, BIT_ERROR
     -- from the exact loop and from :meth:`simulate_reference`.  The
     default :data:`~repro.obs.events.NULL_RECORDER` disables recording;
-    the loop then pays a single pointer test per request (benchmarked in
-    ``benchmarks/bench_observability.py``).  An enabled recorder forces
+    the loop then pays a single pointer test per request (the on/off
+    ratio is bounded in ``benchmarks/test_speed_ratios.py``).  An enabled recorder forces
     the exact engine (the vector engine aggregates counts instead of
     emitting per-request events).
 

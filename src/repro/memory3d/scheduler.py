@@ -5,7 +5,7 @@ controller recover the lost column-phase bandwidth by reordering requests
 to hit open rows, with no layout change at all?  This module implements
 that controller -- a greedy first-ready, first-come-first-served policy
 over a lookahead window -- so the question gets a quantitative answer
-(``benchmarks/bench_scheduler.py``):
+(``tests/test_scheduler.py::TestSchedulingVsLayout``):
 
 under a row-major layout, two column-walk accesses to the same DRAM row
 are a full matrix column apart in the request stream, so the window must

@@ -39,7 +39,8 @@ spans, via the paired :class:`~repro.obs.telemetry.ClockAnchor`
 readings.
 
 Logging is run *metadata*: it never touches a deterministic sweep
-document (enforced by tests and ``benchmarks/bench_logging.py``).
+document (``tests/test_obs_logging.py`` compares a debug-logged
+sweep's document with a plain one byte for byte).
 """
 
 from __future__ import annotations

@@ -12,9 +12,7 @@ models and artifacts.  Sections:
   supplied, its summary, an SVG timeline of runner/point/worker tracks
   and the merged metrics registry;
 * **Fault degradation** -- the :func:`repro.faults.report.degradation_rows`
-  table plus the DDL-advantage list;
-* **Bench trajectory** -- sparklines over a history of ``BENCH_*.json``
-  artifacts (pass every snapshot you have; one file still renders).
+  table plus the DDL-advantage list.
 
 Everything accepts precomputed inputs so tests and the CLI can assemble
 reports at any fidelity without re-simulating.
@@ -23,8 +21,6 @@ reports at any fidelity without re-simulating.
 from __future__ import annotations
 
 import html
-import json
-from collections.abc import Iterable, Sequence
 from typing import Any
 
 from repro.core.config import SystemConfig
@@ -83,39 +79,6 @@ def markdown_table_html(markdown: str) -> str:
         out.append("</tr>")
     out.append("</table>")
     return "".join(out)
-
-
-def svg_sparkline(
-    values: Sequence[float], width: int = 120, height: int = 24
-) -> str:
-    """An inline SVG sparkline of a numeric series."""
-    data = [float(v) for v in values]
-    if not data:
-        return ""
-    lo, hi = min(data), max(data)
-    span = (hi - lo) or 1.0
-    pad = 2.0
-    if len(data) == 1:
-        points = [(width / 2, height / 2)]
-    else:
-        step = (width - 2 * pad) / (len(data) - 1)
-        points = [
-            (
-                pad + index * step,
-                pad + (height - 2 * pad) * (1 - (value - lo) / span),
-            )
-            for index, value in enumerate(data)
-        ]
-    path = " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
-    last_x, last_y = points[-1]
-    return (
-        f'<svg class="spark" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-        f'<polyline points="{path}" fill="none" stroke="#30507a" '
-        f'stroke-width="1.5"/>'
-        f'<circle cx="{last_x:.1f}" cy="{last_y:.1f}" r="2.5" '
-        f'fill="#b0562c"/></svg>'
-    )
 
 
 def svg_timeline(telemetry: RunTelemetry, width: int = 880) -> str:
@@ -198,68 +161,6 @@ def svg_timeline(telemetry: RunTelemetry, width: int = 880) -> str:
     return "".join(parts)
 
 
-# ------------------------------------------------------------- bench history
-def load_bench_history(paths: Iterable[str]) -> dict[str, list[dict]]:
-    """Load ``BENCH_*.json`` artifacts, grouped by benchmark name.
-
-    ``paths`` should be ordered oldest to newest; files that fail to
-    parse or lack the artifact shape are skipped (a history viewer must
-    not die on one corrupt snapshot).
-    """
-    history: dict[str, list[dict]] = {}
-    for path in paths:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            continue
-        name = document.get("benchmark")
-        metrics = document.get("metrics")
-        if not isinstance(name, str) or not isinstance(metrics, dict):
-            continue
-        history.setdefault(name, []).append(document)
-    return history
-
-
-def _bench_section(history: dict[str, list[dict]]) -> list[str]:
-    parts: list[str] = ["<h2>Bench trajectory</h2>"]
-    if not history:
-        parts.append(
-            '<p class="note">(no BENCH_*.json artifacts supplied)</p>'
-        )
-        return parts
-    for name in sorted(history):
-        snapshots = history[name]
-        parts.append(f"<h3><code>BENCH_{html.escape(name)}</code> "
-                     f"({len(snapshots)} snapshot(s))</h3>")
-        metric_names = sorted(
-            {
-                metric
-                for snapshot in snapshots
-                for metric, value in snapshot["metrics"].items()
-                if isinstance(value, (int, float)) and not isinstance(value, bool)
-            }
-        )
-        rows = ["<table><tr><th>metric</th><th>trend</th>"
-                "<th>latest</th></tr>"]
-        for metric in metric_names:
-            series = [
-                float(snapshot["metrics"][metric])
-                for snapshot in snapshots
-                if isinstance(snapshot["metrics"].get(metric), (int, float))
-            ]
-            if not series:
-                continue
-            rows.append(
-                f"<tr><td><code>{html.escape(metric)}</code></td>"
-                f"<td>{svg_sparkline(series)}</td>"
-                f"<td>{series[-1]:,.4g}</td></tr>"
-            )
-        rows.append("</table>")
-        parts.append("".join(rows))
-    return parts
-
-
 # --------------------------------------------------------------- the report
 def _vault_sections(
     config: SystemConfig, n: int, max_requests: int
@@ -306,7 +207,6 @@ def build_run_report(
     n: int = 512,
     max_requests: int = 32_768,
     telemetry: RunTelemetry | None = None,
-    bench_paths: Iterable[str] = (),
     include_faults: bool = True,
     seed: int = 0,
     title: str = "repro run report",
@@ -320,7 +220,6 @@ def build_run_report(
         max_requests: simulated-request cap per section run.
         telemetry: a merged sweep :class:`RunTelemetry` to embed as the
             timeline section (omit to skip the section).
-        bench_paths: ``BENCH_*.json`` artifact paths, oldest first.
         include_faults: render the degradation section (the most
             expensive section; reports for quick smoke runs skip it).
         seed: fault-plan seed for the degradation section.
@@ -362,7 +261,6 @@ def build_run_report(
     if include_faults:
         parts += _fault_section(config, n, max_requests, seed)
 
-    parts += _bench_section(load_bench_history(bench_paths))
     parts.append("</body></html>")
     return "\n".join(parts)
 

@@ -178,7 +178,7 @@ class TestDET001:
         assert diags == []
 
     def test_bench_files_exempt(self, tmp_path):
-        diags = lint_source(tmp_path, self.POSITIVE, "DET001", rel="bench_x.py")
+        diags = lint_source(tmp_path, self.POSITIVE, "DET001", rel="benchmarks/speed.py")
         assert diags == []
 
     def test_from_import_alias_detected(self, tmp_path):
@@ -703,7 +703,7 @@ class TestLOG001:
                 print("debugging aid")
         """
         assert lint_source(tmp_path, source, "LOG001", rel="tests/test_x.py") == []
-        assert lint_source(tmp_path, source, "LOG001", rel="bench_x.py") == []
+        assert lint_source(tmp_path, source, "LOG001", rel="benchmarks/speed.py") == []
         assert lint_source(tmp_path, source, "LOG001", rel="tools/gen.py") == []
 
     def test_suppression_comment_honoured(self, tmp_path):

@@ -401,30 +401,21 @@ class TestGoldenOutputs:
 
 class TestReportCommand:
     def test_html_report_written(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        bench = tmp_path / "BENCH_sweep.json"
-        bench.write_text(json.dumps(
-            {"benchmark": "sweep", "metrics": {"serial_s": 1.0}}
-        ))
         out_path = tmp_path / "report.html"
         assert main([
             "report", "--html", "--out", str(out_path),
             "--size", "64", "--max-requests", "512", "--no-faults",
-            "--bench", str(bench),
         ]) == 0
         assert "wrote" in capsys.readouterr().out
         text = out_path.read_text()
         assert text.startswith("<!DOCTYPE html>")
         assert "Sweep telemetry" in text
-        assert "serial_s" in text
 
     def test_no_sweep_skips_timeline_section(self, capsys, tmp_path):
         out_path = tmp_path / "report.html"
         assert main([
             "report", "--out", str(out_path), "--size", "64",
             "--max-requests", "512", "--no-faults", "--no-sweep",
-            "--bench",
         ]) == 0
         capsys.readouterr()
         assert "Sweep telemetry" not in out_path.read_text()

@@ -90,5 +90,19 @@ class TestEvaluation:
         improvement = optimized.improvement_over(baseline)
         assert improvement == pytest.approx(95.1, abs=0.5)
 
+    @pytest.mark.parametrize("n, gbps, improvement", [
+        (2048, 32.0, 95.1), (4096, 25.6, 97.0), (8192, 23.04, 96.6),
+    ])
+    def test_simulated_table2_rows(self, n, gbps, improvement):
+        """Table 2 from trace-driven architectures: throughput,
+        improvement and a latency cut of more than 2.5x per size."""
+        baseline = BaselineArchitecture(n).evaluate(max_requests=65_536)
+        optimized = OptimizedArchitecture(n).evaluate(max_requests=65_536)
+        assert optimized.throughput_gbps == pytest.approx(gbps, rel=0.02)
+        assert optimized.improvement_over(baseline) == pytest.approx(
+            improvement, abs=0.3
+        )
+        assert optimized.latency_ns < baseline.latency_ns / 2.5
+
     def test_repr(self):
         assert "2048" in repr(BaselineArchitecture(2048))

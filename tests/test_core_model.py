@@ -146,3 +146,40 @@ class TestModelStructure:
         model = AnalyticModel(config)
         phase = model.optimized_column_phase(2048)
         assert phase.throughput_gbps == pytest.approx(8.0)
+
+
+class TestTimingSensitivity:
+    """Eq. (1) absorbs slower rows: the baseline column phase slows in
+    proportion to t_diff_row while the optimized one stays kernel-bound."""
+
+    @staticmethod
+    def model(t_diff_row, t_in_row=1.6, tsv_freq_hz=1.25e9):
+        timing = TimingParameters(
+            t_in_row=t_in_row, t_in_vault=4.8, t_diff_bank=10.0,
+            t_diff_row=t_diff_row,
+        )
+        memory = Memory3DConfig(timing=timing, tsv_freq_hz=tsv_freq_hz)
+        return AnalyticModel(SystemConfig(memory=memory))
+
+    def test_baseline_inverse_in_penalty_optimized_flat(self):
+        penalties = (10.0, 20.0, 40.0, 80.0)
+        models = [self.model(p) for p in penalties]
+        base = [m.baseline_column_phase(4096).throughput_gbps for m in models]
+        heights = [m.geometry(4096).height for m in models]
+        assert base[0] == pytest.approx(2 * base[1], rel=0.01)
+        assert base[1] == pytest.approx(2 * base[2], rel=0.01)
+        assert heights == sorted(heights) and heights[-1] > heights[0]
+        for m in models:
+            assert m.optimized_column_phase(4096).throughput_gbps == pytest.approx(
+                25.6, rel=0.01
+            )
+
+    def test_half_speed_beat_halves_peak_kernel_still_binds(self):
+        fast = self.model(20.0)
+        slow = self.model(20.0, t_in_row=3.2, tsv_freq_hz=0.625e9)
+        assert fast.config.peak_bandwidth == pytest.approx(
+            2 * slow.config.peak_bandwidth, rel=0.01
+        )
+        assert slow.optimized_column_phase(4096).throughput_gbps == pytest.approx(
+            25.6, rel=0.01
+        )

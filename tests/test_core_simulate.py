@@ -46,6 +46,14 @@ class TestBaselineColumn:
         phase = simulate_baseline_column_phase(system_config, 2048)
         assert phase.throughput_gbitps == pytest.approx(6.4, rel=0.02)
 
+    @pytest.mark.parametrize("n", [4096, 8192])
+    def test_larger_sizes_are_paper_numbers(self, system_config, n):
+        """Table 1: 3.2 Gb/s at N=4096 and 8192 (a same-bank stride)."""
+        phase = simulate_baseline_column_phase(
+            system_config, n, max_requests=131_072, engine="vector"
+        )
+        assert phase.throughput_gbitps == pytest.approx(3.2, rel=0.02)
+
     def test_memory_bound(self, system_config):
         phase = simulate_baseline_column_phase(system_config, 2048)
         assert phase.bound == "memory"
@@ -67,6 +75,24 @@ class TestOptimizedColumn:
         phase = simulate_optimized_column_phase(system_config, 2048, layout)
         assert phase.bound == "kernel"
         assert phase.throughput_gbps == pytest.approx(32.0, rel=0.01)
+
+    @pytest.mark.parametrize("n, gbps, utilization", [
+        (4096, 25.6, 0.32), (8192, 23.04, 0.288),
+    ])
+    def test_larger_sizes_are_paper_numbers(
+        self, system_config, n, gbps, utilization
+    ):
+        """Table 1: the DDL column phase is kernel-bound at the paper's
+        rate for the larger sizes too."""
+        phase = simulate_optimized_column_phase(
+            system_config, n, ddl_layout(system_config, n),
+            max_requests=131_072, engine="vector",
+        )
+        assert phase.bound == "kernel"
+        assert phase.throughput_gbps == pytest.approx(gbps, rel=0.02)
+        assert phase.utilization(system_config.peak_bandwidth) == pytest.approx(
+            utilization, rel=0.02
+        )
 
     def test_memory_side_near_peak(self, system_config):
         layout = ddl_layout(system_config, 2048)
@@ -217,3 +243,61 @@ class TestPhaseTrace:
                 whole, phase.discipline, sample=cap, fault_plan=plan
             ), name
             assert ours.last_fault_summary == reference.last_fault_summary
+
+
+class TestHeightAblation:
+    """Block height h for a column-at-a-time consumer at N=2048: below
+    the Eq. (1) height activations leak through; at it the streams reach
+    peak.  Whole-block fetches reach peak at every height."""
+
+    N = 2048
+    HEIGHTS = (1, 2, 4, 8, 16, 32)
+
+    def utilization(self, system_config, whole_blocks):
+        memory = Memory3D(system_config.memory)
+        out = {}
+        for h in self.HEIGHTS:
+            layout = BlockDDLLayout(self.N, self.N, width=32 // h, height=h)
+            trace = block_column_read_trace(
+                layout, n_streams=16, whole_blocks=whole_blocks,
+                block_cols=range(16), limit=32_768,
+            )
+            stats = memory.simulate(trace, "per_vault", engine="vector")
+            out[h] = stats.utilization(system_config.peak_bandwidth)
+        return out
+
+    def test_column_at_a_time_knee_sits_at_eq1(self, system_config):
+        util = self.utilization(system_config, whole_blocks=False)
+        height = optimal_block_geometry(system_config.memory, self.N).height
+        assert [h for h in self.HEIGHTS if util[h] > 0.99][0] == height
+        assert util[height // 2] < 0.75
+        assert util[1] < 0.25
+        values = [util[h] for h in self.HEIGHTS]
+        assert values == sorted(values)
+        assert AnalyticModel(system_config).geometry(self.N).height == height
+
+    def test_whole_blocks_reach_peak_at_every_height(self, system_config):
+        util = self.utilization(system_config, whole_blocks=True)
+        assert min(util.values()) > 0.99
+
+
+class TestVaultParallelism:
+    """Engaged column streams at N=2048: 5 GB/s per vault until the
+    16-lane kernel (32 GB/s) binds, between 6 and 7 vaults."""
+
+    @pytest.mark.parametrize("streams, gbps, bound", [
+        (1, 5.0, "memory"), (2, 10.0, "memory"), (4, 20.0, "memory"),
+        (8, 32.0, "kernel"), (16, 32.0, "kernel"),
+    ])
+    def test_throughput_per_stream_count(self, system_config, streams, gbps, bound):
+        config = replace(system_config, column_streams=streams)
+        phase = simulate_optimized_column_phase(
+            config, 2048, ddl_layout(system_config, 2048),
+            max_requests=32_768, engine="vector",
+        )
+        assert phase.throughput_gbps == pytest.approx(gbps, rel=0.03)
+        assert phase.bound == bound
+
+    def test_crossover_between_six_and_seven_vaults(self, system_config, model):
+        vault_rate = system_config.memory.vault_peak_bandwidth
+        assert 6.0 < model.kernel_rate(2048) / vault_rate < 7.0

@@ -90,6 +90,18 @@ class TestEquivalence:
         assert mem.last_engine == "vector"
         assert exact == Memory3D(pact15_hmc_config()).simulate(trace)
 
+    def test_headline_column_walk_identical_raw_and_compiled(self):
+        """The speed-ratio workload (a row-major N=4096 column walk), cut
+        to 16 columns: identical stats from the exact loop, the vector
+        engine on raw requests and on the compiled trace."""
+        trace = column_walk_trace(RowMajorLayout(4096, 4096), cols=range(16))
+        exact, vector, _, mem = both_engines(trace, "in_order")
+        assert mem.last_engine == "vector", mem.last_fallback_reason
+        assert exact == vector
+        _, from_compiled, _, mem = both_engines(compile_trace(trace), "in_order")
+        assert mem.last_engine == "vector", mem.last_fallback_reason
+        assert exact == from_compiled
+
     def test_closed_form_run_pricing_matches_exact(self):
         # Stride 1<<15 keeps every request of a run on one (vault, bank)
         # with affine rows: the compiled walker prices it in closed form.

@@ -379,6 +379,22 @@ class TestDegradationReport:
             assert advantage[name] > 1.0, name
             assert advantage[name] <= advantage["healthy"] * 1.01, name
 
+    def test_advantage_and_retained_shares_pinned(self, report):
+        """The exact model outputs at N=256: the DDL's advantage halves
+        when a vault fails (half its streams), and that is also the worst
+        share of its healthy bandwidth any fault class leaves it."""
+        assert report["advantage"] == {
+            "healthy": 23.998046875,
+            "vault-failure": 11.9990234375,
+            "latency-jitter": 16.52980685750984,
+            "refresh-storm": 24.100470957613815,
+            "thermal-throttle": 23.998046875,
+            "bit-errors": 22.698817106460414,
+        }
+        ddl = report["layouts"]["block-ddl"]["plans"]
+        assert min(cell["retained"] for cell in ddl.values()) == 0.5
+        assert ddl["vault-failure"]["retained"] == 0.5
+
     def test_render_markdown(self, report):
         text = render_degradation(report)
         assert text.startswith("# Fault degradation report")

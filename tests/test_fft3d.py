@@ -55,16 +55,25 @@ class TestModel:
         for phase in metrics.phases:
             assert phase.bound == "kernel"
 
-    def test_improvement_exceeds_2d(self, model, system_config):
-        """Two crippled phases out of three: the 3D gain tops the 2D one."""
+    @staticmethod
+    def improvements(model, system_config, n):
+        """(3D improvement, 2D improvement) over the baseline at size n."""
         from repro.core import AnalyticModel
 
-        base3 = model.baseline(2048)
-        opt3 = model.optimized(2048)
-        improvement_3d = opt3.improvement_over(base3)
-        model2d = AnalyticModel(system_config)
-        base2, opt2 = model2d.table2((2048,))[0]
-        improvement_2d = opt2.improvement_over(base2)
+        base2, opt2 = AnalyticModel(system_config).table2((n,))[0]
+        return (
+            model.optimized(n).improvement_over(model.baseline(n)),
+            opt2.improvement_over(base2),
+        )
+
+    def test_improvement_exceeds_2d(self, model, system_config):
+        """Two crippled phases out of three: the 3D gain tops the 2D one."""
+        improvement_3d, improvement_2d = self.improvements(model, system_config, 2048)
+        assert improvement_3d > improvement_2d
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_improvement_exceeds_2d_at_smaller_sizes(self, model, system_config, n):
+        improvement_3d, improvement_2d = self.improvements(model, system_config, n)
         assert improvement_3d > improvement_2d
 
     def test_total_bytes(self, model):
@@ -73,6 +82,14 @@ class TestModel:
 
     def test_throughput_positive(self, model):
         assert model.optimized(128).throughput_gbps > 0
+
+    def test_n2048_phase_breakdown(self, model):
+        """Baseline: x kernel-bound, y at 6.4 Gb/s; optimized: the 2D
+        kernel rate, 32 GB/s."""
+        x, y, _ = model.baseline(2048).phases
+        assert x.bound == "kernel"
+        assert y.throughput_gbitps == pytest.approx(6.4, rel=0.02)
+        assert model.optimized(2048).throughput_gbps == pytest.approx(32.0, rel=0.01)
 
     def test_n2048_z_phase_rate(self, model):
         """Stride n^2 = 2048^2 elements: 32 MiB stride wraps onto one

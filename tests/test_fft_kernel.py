@@ -126,6 +126,30 @@ class TestHardwareModel:
     def test_latency_dominated_by_first_dpp(self, model):
         assert model.latency_cycles > 2048 // 16 // 2
 
+    @pytest.mark.parametrize("n, gbps, stages", [
+        (2048, 32.0, 6), (4096, 25.6, 6), (8192, 23.04, 7),
+    ])
+    def test_paper_sizes(self, system_config, n, gbps, stages):
+        """Each evaluated size streams at its paper rate with log4 stages
+        (plus one radix-2 stage when log2 N is odd)."""
+        kernel = system_config.kernel
+        model = KernelHardwareModel(
+            n=n, radix=kernel.radix, lanes=kernel.lanes, clock_hz=kernel.clock_for(n)
+        )
+        assert model.throughput_bytes_per_s == pytest.approx(gbps * 1e9)
+        assert model.stages == stages
+
+    def test_fill_latency_grows_with_size(self, system_config):
+        kernel = system_config.kernel
+        latencies = [
+            KernelHardwareModel(
+                n=n, radix=kernel.radix, lanes=kernel.lanes,
+                clock_hz=kernel.clock_for(n),
+            ).latency_ns
+            for n in (2048, 4096, 8192)
+        ]
+        assert latencies == sorted(latencies)
+
     def test_latency_ns_uses_clock(self):
         fast = KernelHardwareModel(n=256, radix=4, lanes=16, clock_hz=500e6)
         slow = KernelHardwareModel(n=256, radix=4, lanes=16, clock_hz=250e6)

@@ -145,6 +145,16 @@ class TestPlannerChoices:
             "column-major", "block-ddl-w1h32", "block-ddl-w2h16",
         )
 
+    def test_planning_premium_over_row_major(self, planner):
+        """The planned FFT intermediate streams over 10x the naive
+        row-major default."""
+        chosen = planner.plan(fft2d_spec(1024)).matrices["intermediate"]
+        naive = dict(chosen.ranking)["row-major"]
+        assert chosen.throughput_bytes_per_s > 10 * naive
+
+    def test_candidate_space_stays_small(self, planner):
+        assert 4 <= len(candidate_layouts(planner.config, 1024, 1024)) <= 12
+
     def test_plan_describe(self, planner):
         text = planner.plan(fft2d_spec(256)).describe()
         assert "intermediate" in text

@@ -96,6 +96,38 @@ class TestTaggedSimulation:
         combined = stats[-1].bandwidth_bytes_per_s
         assert combined > 0.95 * mem_config.peak_bandwidth
 
+    def test_bad_neighbour_starves_the_stream(self, memory):
+        """The streaming tenant next to a row-major column tenant gets
+        under 0.6x what it gets next to a DDL tenant."""
+        n = 1024
+        layout = BlockDDLLayout(n, n, 2, 16)
+        stream = linear_trace(1 << 26, 8192)
+        shares = {}
+        for name, tenant in (
+            ("row-major", column_walk_trace(RowMajorLayout(n, n), cols=range(32))),
+            ("ddl", block_column_read_trace(layout, n_streams=16,
+                                            block_cols=range(16))),
+        ):
+            merged, tags = interleave_tenant_traces(
+                [tenant.head(8192), stream], granularity=32
+            )
+            shares[name] = memory.simulate_tagged(merged, tags)[1].bandwidth_gbps
+        assert shares["row-major"] < 0.6 * shares["ddl"]
+
+    def test_ddl_tenant_halves_fairly_when_shared(self, memory):
+        n = 1024
+        layout = BlockDDLLayout(n, n, 2, 16)
+        ddl = block_column_read_trace(
+            layout, n_streams=16, block_cols=range(16)
+        ).head(8192)
+        solo = memory.simulate(ddl, "per_vault")
+        merged, tags = interleave_tenant_traces(
+            [ddl, linear_trace(1 << 26, 8192)], granularity=32
+        )
+        shared = memory.simulate_tagged(merged, tags)[0]
+        slowdown = solo.bandwidth_bytes_per_s / shared.bandwidth_bytes_per_s
+        assert slowdown == pytest.approx(2.0, abs=0.4)
+
     def test_late_starting_tenant_bandwidth_uses_its_own_span(self, memory):
         """A tenant that starts late must not be billed for time before
         its first completion: elapsed_ns is its first-to-last completion

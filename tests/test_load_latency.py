@@ -114,3 +114,25 @@ class TestLoadCurve:
             with_offered_load(linear_trace(0, 4), 0.0, 80e9)
         with pytest.raises(SimulationError):
             with_offered_load(linear_trace(0, 4), 0.5, 0.0)
+
+
+class TestHockeyStick:
+    """N=1024 column patterns, open loop: the row-major walk saturates at
+    its ~2% closed-loop share and its latency explodes; the DDL stays
+    within a few beats out to full peak."""
+
+    def test_baseline_knee_and_explosion(self, memory, mem_config):
+        trace = column_walk_trace(RowMajorLayout(1024, 1024), cols=range(8))
+        points = latency_load_curve(
+            memory, trace, fractions=(0.005, 0.01, 0.02, 0.05, 0.25),
+            discipline="in_order", sample=8192,
+        )
+        assert points[-1].mean_latency_ns > 1000 * points[0].mean_latency_ns
+        best = max(p.achieved_bytes_per_s for p in points if not p.saturated)
+        assert best / mem_config.peak_bandwidth == pytest.approx(0.02, abs=0.005)
+
+    def test_ddl_latency_stays_a_few_beats(self, memory, mem_config):
+        layout = BlockDDLLayout(1024, 1024, 2, 16)
+        trace = block_column_read_trace(layout, n_streams=16, block_cols=range(16))
+        points = latency_load_curve(memory, trace, fractions=(1.0,), sample=16_384)
+        assert points[-1].mean_latency_ns < 50 * mem_config.timing.t_in_row

@@ -67,6 +67,11 @@ class TestPerformanceShape:
         metrics = matmul_optimized(1024).evaluate(max_requests=32_768)
         assert metrics.bound == "compute"
 
+    def test_optimized_runs_at_the_mac_array_rate(self):
+        """512 complex MACs at 250 MHz: 1024 GFLOP/s."""
+        metrics = matmul_optimized(1024).evaluate(max_requests=32_768)
+        assert metrics.gflops == pytest.approx(1024.0, rel=0.02)
+
     def test_layout_speedup_is_large(self):
         base = matmul_baseline(1024).evaluate(max_requests=32_768)
         opt = matmul_optimized(1024).evaluate(max_requests=32_768)

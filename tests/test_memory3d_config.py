@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.core import AnalyticModel
+from repro.core.config import SystemConfig
 from repro.memory3d import Memory3DConfig, TimingParameters, pact15_hmc_config
+from repro.memory3d.config import hmc_gen2_config, wideio_like_config
 
 
 class TestTimingParameters:
@@ -116,3 +119,39 @@ class TestTechnologyPresets:
         for config in (hmc_gen2_config(), wideio_like_config()):
             assert config.row_elements >= 1
             assert config.timing.t_in_row <= config.timing.t_diff_row
+
+
+class TestTechnologySurvey:
+    """The N=4096 column phase across stacks: the baseline stays
+    activate-gap-bound under 1% of peak while peak quadruples, and
+    Eq. (1) re-derives the block shape per stack."""
+
+    N = 4096
+
+    @staticmethod
+    def model(memory):
+        return AnalyticModel(
+            SystemConfig(memory=memory, column_streams=min(16, memory.vaults))
+        )
+
+    def test_baseline_stays_under_one_percent(self):
+        gen1, gen2 = pact15_hmc_config(), hmc_gen2_config()
+        assert gen2.peak_bandwidth == pytest.approx(4 * gen1.peak_bandwidth)
+        for memory in (gen1, gen2):
+            phase = self.model(memory).baseline_column_phase(self.N)
+            assert phase.utilization(memory.peak_bandwidth) < 0.01
+
+    def test_eq1_adapts_per_stack(self):
+        assert self.model(hmc_gen2_config()).geometry(self.N).height >= 16
+        wide = wideio_like_config()
+        geo = self.model(wide).geometry(self.N)
+        assert geo.width * geo.height == wide.row_elements
+        for memory in (pact15_hmc_config(), hmc_gen2_config(), wide):
+            ratio = memory.timing.t_diff_row / memory.timing.t_in_row
+            assert self.model(memory).geometry(self.N).height <= 2 * ratio
+
+    def test_optimized_memory_side_tracks_peak(self):
+        for memory in (pact15_hmc_config(), hmc_gen2_config(), wideio_like_config()):
+            streams = min(16, memory.vaults)
+            rate = min(memory.peak_bandwidth, streams * memory.vault_peak_bandwidth)
+            assert rate >= 0.2 * memory.peak_bandwidth

@@ -8,6 +8,8 @@ import urllib.request
 
 import pytest
 
+import repro.cli
+import repro.sweep
 from repro.cli import main
 from repro.obs import (
     STATUS_SCHEMA,
@@ -414,7 +416,10 @@ class TestCliCompose:
         assert sections["metrics"]["sweep.points_completed"]["value"] == 2.0
         assert sections["logs"]["schema"] == "repro-logs-tail/v1"
 
-    def test_profile_monitor_telemetry_compose(self, tmp_path, capsys):
+    def test_profile_monitor_telemetry_compose(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(repro.cli, "MONITOR_LINGER_S", 0.0)
         argv = [
             "--profile", "50",
             "--log-level", "debug",
@@ -441,3 +446,44 @@ class TestCliCompose:
         records = [validate_log_line(line) for line in lines]
         assert any(r.message == "sweep finished" for r in records)
         assert json.loads((tmp_path / "result.json").read_text("utf-8"))
+
+
+class TestSweepMonitorLinger:
+    def test_status_after_the_sweep_returned_reports_done(
+        self, monkeypatch, capsys
+    ):
+        """A scrape that lands after ``run_sweep`` returned still gets an
+        answer: the monitor keeps serving the finished run's status."""
+        monkeypatch.setattr(repro.cli, "MONITOR_LINGER_S", 1.0)
+        monitors = []
+        returned = threading.Event()
+        real_run, real_start = repro.sweep.run_sweep, SweepMonitor.start
+
+        def run_then_mark(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            returned.set()
+            return result
+
+        def start_and_keep(self):
+            monitors.append(self)
+            return real_start(self)
+
+        monkeypatch.setattr(repro.sweep, "run_sweep", run_then_mark)
+        monkeypatch.setattr(SweepMonitor, "start", start_and_keep)
+        argv = [
+            "sweep", "--sizes", "128", "--layouts", "row-major", "ddl",
+            "--max-requests", "2048", "--no-cache", "--monitor", "0", "--json",
+        ]
+        thread = threading.Thread(target=main, args=(argv,))
+        thread.start()
+        try:
+            assert returned.wait(timeout=60.0)
+            code, _, body = get(monitors[0].url + "/status")
+        finally:
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        status = json.loads(body)
+        assert code == 200
+        assert status["state"] == "done"
+        assert status["completed"] == status["total"] == 2
+        assert "stays up 1 s" in capsys.readouterr().err

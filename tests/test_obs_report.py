@@ -1,13 +1,9 @@
 """The self-contained static HTML run report."""
 
-import json
-
 from repro.obs import ClockAnchor, RunTelemetry, WorkerTelemetry
 from repro.obs.report import (
     build_run_report,
-    load_bench_history,
     markdown_table_html,
-    svg_sparkline,
     svg_timeline,
     write_run_report,
 )
@@ -52,22 +48,6 @@ class TestMarkdownTableHtml:
         assert "<b>" not in out and "&lt;b&gt;" in out
 
 
-class TestSvgSparkline:
-    def test_empty_series(self):
-        assert svg_sparkline([]) == ""
-
-    def test_single_point(self):
-        out = svg_sparkline([5.0])
-        assert out.startswith('<svg') and "<circle" in out
-
-    def test_series_renders_polyline(self):
-        out = svg_sparkline([1.0, 3.0, 2.0])
-        assert "<polyline" in out and "<circle" in out
-
-    def test_flat_series_no_division_by_zero(self):
-        assert "<polyline" in svg_sparkline([2.0, 2.0, 2.0])
-
-
 class TestSvgTimeline:
     def test_empty_run_notes_absence(self):
         run = RunTelemetry.start("empty")
@@ -80,42 +60,12 @@ class TestSvgTimeline:
         assert "<rect" in out  # the worker's point span
 
 
-class TestLoadBenchHistory:
-    def test_groups_by_benchmark_in_order(self, tmp_path):
-        for index, value in enumerate((1.0, 2.0)):
-            path = tmp_path / f"BENCH_sweep_{index}.json"
-            path.write_text(json.dumps(
-                {"benchmark": "sweep", "metrics": {"serial_s": value}}
-            ))
-        history = load_bench_history(
-            [str(tmp_path / "BENCH_sweep_0.json"),
-             str(tmp_path / "BENCH_sweep_1.json")]
-        )
-        assert list(history) == ["sweep"]
-        assert [s["metrics"]["serial_s"] for s in history["sweep"]] == [1.0, 2.0]
-
-    def test_corrupt_and_foreign_files_skipped(self, tmp_path):
-        (tmp_path / "corrupt.json").write_text("{not json")
-        (tmp_path / "foreign.json").write_text('{"other": "shape"}')
-        history = load_bench_history(
-            [str(tmp_path / "corrupt.json"),
-             str(tmp_path / "foreign.json"),
-             str(tmp_path / "missing.json")]
-        )
-        assert history == {}
-
-
 class TestBuildRunReport:
-    def test_report_contains_all_sections(self, tmp_path):
-        bench = tmp_path / "BENCH_sweep.json"
-        bench.write_text(json.dumps(
-            {"benchmark": "sweep", "metrics": {"serial_s": 1.5, "points": 4}}
-        ))
+    def test_report_contains_all_sections(self):
         html_text = build_run_report(
             n=64,
             max_requests=512,
             telemetry=merged_run(),
-            bench_paths=[str(bench)],
             include_faults=True,
             title="test report",
             generated="generated for the test suite",
@@ -128,8 +78,6 @@ class TestBuildRunReport:
         assert "Sweep telemetry" in html_text
         assert "worker pid=777" in html_text
         assert "Degradation under injected faults" in html_text
-        assert "Bench trajectory" in html_text
-        assert "serial_s" in html_text
 
     def test_optional_sections_skippable(self):
         html_text = build_run_report(
@@ -137,7 +85,6 @@ class TestBuildRunReport:
         )
         assert "Degradation" not in html_text
         assert "Sweep telemetry" not in html_text
-        assert "(no BENCH_*.json artifacts supplied)" in html_text
 
     def test_write_run_report(self, tmp_path):
         target = tmp_path / "report.html"

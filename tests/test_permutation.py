@@ -163,3 +163,21 @@ class TestControllingUnit:
         layout = BlockDDLLayout(64, 64, geometry.width, geometry.height)
         with pytest.raises(ValueError):
             cu.reorganize_slab(np.zeros((3, 64), dtype=complex), layout)
+
+
+class TestPhaseBoundaryHardware:
+    """The CU's write-path network and staging buffer stay small at the
+    evaluated sizes: one 32-element block frame, KBs of staging."""
+
+    @pytest.mark.parametrize("n", [2048, 4096, 8192])
+    def test_write_frame_is_one_block(self, mem_config, n):
+        geo = optimal_block_geometry(mem_config, n)
+        schedule = ControllingUnit(geo, width=16).configure_for_write()
+        assert schedule.frame == geo.elements == 32
+        assert schedule.buffer_words <= 4 * geo.elements
+
+    @pytest.mark.parametrize("n", [2048, 4096, 8192])
+    def test_staging_buffer_is_modest(self, mem_config, n):
+        geo = optimal_block_geometry(mem_config, n)
+        layout = BlockDDLLayout(n, n, geo.width, geo.height)
+        assert layout.staging_buffer_elements() < n * n / 50

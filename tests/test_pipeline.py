@@ -53,6 +53,17 @@ class TestSchedule:
         pipeline = StreamingPipeline(baseline, PipelineConfig(frames=100))
         assert pipeline.speedup_over_serial() < 1.1
 
+    def test_overlapped_optimized_beats_serial_baseline_35x(
+        self, optimized, baseline
+    ):
+        overlapped = StreamingPipeline(
+            optimized, PipelineConfig(frames=64, overlap_phases=True)
+        ).evaluate()
+        serial = StreamingPipeline(
+            baseline, PipelineConfig(frames=64, overlap_phases=False)
+        ).evaluate()
+        assert overlapped.frame_rate_hz > 35 * serial.frame_rate_hz
+
     def test_total_time_formula(self, optimized):
         frames = 10
         metrics = StreamingPipeline(

@@ -66,6 +66,10 @@ class TestFixedPointFFT:
         large = snr_vs_wordlength(1024, frac_bits=(12,))[12]
         assert large < small
 
+    def test_q1_15_datapath_is_adequate_at_2048(self):
+        """A 16-bit (Q1.15) kernel keeps > 55 dB SNR at N=2048."""
+        assert snr_vs_wordlength(2048, frac_bits=(15,))[15] > 55.0
+
     def test_wrong_length_rejected(self, rng):
         fft = FixedPointFFT(32)
         with pytest.raises(FFTError):

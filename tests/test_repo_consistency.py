@@ -19,20 +19,86 @@ def experiments_text():
     return (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
 
 
+#: A pin a document row can name: a test node or a CLI command.
+PIN = re.compile(
+    r"`((?:tests/\w+|benchmarks/test_speed_ratios)\.py(?:::\w+)+)`"
+    r"|`python -m repro ([\w-]+)"
+)
+
+
+def _pins(text: str) -> list[tuple[str, str]]:
+    return [(node, command) for node, command in PIN.findall(text)]
+
+
+def _node_exists(node: str) -> bool:
+    """Whether ``path.py::[Class::]test_name`` names a test in the tree."""
+    path, *names = node.split("::")
+    if not names[-1].startswith("test_") or not (ROOT / path).exists():
+        return False
+    scope = ast.parse((ROOT / path).read_text(encoding="utf-8")).body
+    for name in names:
+        found = [
+            item
+            for item in scope
+            if isinstance(item, (ast.ClassDef, ast.FunctionDef))
+            and item.name == name
+        ]
+        if not found:
+            return False
+        scope = getattr(found[0], "body", [])
+    return True
+
+
+def _cli_commands() -> set[str]:
+    import argparse
+
+    from repro.cli import build_parser
+
+    return {
+        name
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for name in action.choices
+    }
+
+
+def _experiment_rows(design_text: str) -> list[str]:
+    section = design_text.split("## 4. Experiment index", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    return rows[1:]  # the header row; the separator starts with "|-"
+
+
 class TestDesignIndex:
-    def test_every_referenced_bench_exists(self, design_text):
-        benches = set(re.findall(r"benchmarks/(bench_\w+\.py)", design_text))
-        assert benches, "DESIGN.md must reference benchmark files"
-        for bench in benches:
-            assert (ROOT / "benchmarks" / bench).exists(), f"missing {bench}"
+    def test_every_referenced_bench_exists(self, design_text, experiments_text):
+        """Every test node and ``python -m repro`` command that DESIGN.md
+        or EXPERIMENTS.md cites exists."""
+        commands = _cli_commands()
+        pins = _pins(design_text) + _pins(experiments_text)
+        assert pins, "DESIGN.md must cite the tests that pin its claims"
+        for node, command in pins:
+            if node:
+                assert _node_exists(node), f"no such test: {node}"
+            else:
+                assert command in commands, f"no such command: repro {command}"
 
     def test_every_bench_file_is_indexed(self, design_text, experiments_text):
-        on_disk = {p.name for p in (ROOT / "benchmarks").glob("bench_*.py")}
-        documented = set(
-            re.findall(r"benchmarks/(bench_\w+\.py)", design_text)
-        ) | set(re.findall(r"benchmarks/(bench_\w+\.py)", experiments_text))
-        undocumented = on_disk - documented
-        assert not undocumented, f"benches not in DESIGN/EXPERIMENTS: {undocumented}"
+        """Every experiment row and section names a pin, and every speed
+        ratio is indexed in DESIGN.md."""
+        rows = _experiment_rows(design_text)
+        assert len(rows) >= 20
+        for row in rows:
+            assert _pins(row), f"experiment row names no pin: {row[:60]}"
+        for section in experiments_text.split("\n## ")[1:]:
+            if section.startswith(("T", "F", "A", "E", "V", "L", "Q")):
+                assert _pins(section), f"section names no pin: {section[:40]}"
+        ratios = ast.parse(
+            (ROOT / "benchmarks" / "test_speed_ratios.py").read_text("utf-8")
+        )
+        for item in ratios.body:
+            if isinstance(item, ast.FunctionDef) and item.name.startswith("test_"):
+                node = f"benchmarks/test_speed_ratios.py::{item.name}"
+                assert node in design_text, f"{node} not in DESIGN.md"
 
     def test_experiment_ids_cover_tables_and_figures(self, design_text):
         for exp_id in ("T1", "T2", "F1", "F2", "F3", "A1", "A2", "A3", "A4"):

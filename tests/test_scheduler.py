@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.layouts import RowMajorLayout
+from repro.layouts import BlockDDLLayout, RowMajorLayout, optimal_block_geometry
 from repro.memory3d.scheduler import OpenPageScheduler
-from repro.trace import TraceArray, column_walk_trace, linear_trace
+from repro.trace import (
+    TraceArray,
+    block_column_read_trace,
+    column_walk_trace,
+    linear_trace,
+)
 
 
 class TestReorderCorrectness:
@@ -73,6 +78,27 @@ class TestSchedulingVsLayout:
         trace = column_walk_trace(RowMajorLayout(n, n), cols=range(4))
         scheduled = OpenPageScheduler(memory, window=n + 8).simulate(trace)
         assert scheduled.stats.row_hits > 0
+
+    def test_column_spanning_window_stays_under_half_the_ddl(
+        self, memory, mem_config
+    ):
+        """Even a window wider than a column recovers under half of what
+        the DDL delivers with a plain in-order controller."""
+        n = 1024
+        trace = column_walk_trace(RowMajorLayout(n, n), cols=range(8))
+        giant = OpenPageScheduler(memory, window=n + 16).simulate(
+            trace, sample=8192
+        )
+        geo = optimal_block_geometry(mem_config, n)
+        layout = BlockDDLLayout(n, n, geo.width, geo.height)
+        ddl = memory.simulate(
+            block_column_read_trace(layout, n_streams=16, block_cols=range(16)),
+            "per_vault",
+            sample=16_384,
+        )
+        assert giant.stats.bandwidth_gbps < ddl.bandwidth_gbps / 2
+        assert ddl.bandwidth_gbps > 0.99 * mem_config.peak_bandwidth / 1e9
+        assert giant.displaced > 0
 
     def test_reorder_fraction_reported(self, memory):
         n = 256

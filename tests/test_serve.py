@@ -379,6 +379,33 @@ class TestServiceHTTP:
         assert snap["accepted"] == snap["completed"] == 4
         service.admission.check_invariants()
 
+    def test_concurrent_burst_computes_each_point_once(self, tmp_path):
+        """Four identical concurrent requests over a cache: every point
+        is computed once, and the other three answers share it through
+        the cache or by coalescing (share 3/4 of the points served)."""
+        service = PlanService(cache=ResultCache(tmp_path / "cache"), jobs=4)
+        envelopes = []
+        lock = threading.Lock()
+
+        def fire():
+            code, envelope, _ = service.handle(dict(SPEC))
+            assert code == 200
+            with lock:
+                envelopes.append(envelope)
+
+        with service:
+            threads = [threading.Thread(target=fire) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        assert len(envelopes) == 4
+        served = sum(e["cached"] + e["computed"] for e in envelopes)
+        shared = sum(e["cached"] + e["coalesced"] for e in envelopes)
+        assert served == 4 * 2
+        assert served - shared == 2  # one computation per point
+        assert shared / served == 0.75
+
     def test_breaker_demo_degraded_and_half_open_recovery(self, tmp_path):
         # Warm the cache with a healthy request first.
         now = [0.0]

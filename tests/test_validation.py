@@ -47,6 +47,18 @@ class TestValidateModel:
         )
         assert len(report.points) == 6
         assert report.max_relative_error < 0.05
+        assert report.mean_relative_error < 0.02
+        assert report.worst().relative_error == report.max_relative_error
+
+    def test_gen2_stack_agrees(self):
+        from repro.core.config import KernelConfig, SystemConfig
+        from repro.memory3d.config import hmc_gen2_config
+
+        config = SystemConfig(
+            memory=hmc_gen2_config(), kernel=KernelConfig(), column_streams=16
+        )
+        report = validate_model(config, sizes=(1024,), max_requests=32_768)
+        assert report.max_relative_error < 0.05
 
     def test_point_labels_cover_phases(self, system_config):
         report = validate_model(system_config, sizes=(512,), max_requests=16_384)
