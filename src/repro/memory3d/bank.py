@@ -9,7 +9,7 @@ row activation, which is gated by the bank's activate-to-activate minimum
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.memory3d.config import TimingParameters
 
@@ -48,19 +48,3 @@ class BankState:
         """Forget the open row and timing state (e.g. between phases)."""
         self.open_row = NO_ROW
         self.next_activate_ns = 0.0
-
-
-@dataclass
-class BankCounters:
-    """Aggregate per-bank counters for a finished simulation."""
-
-    activations: dict[int, int] = field(default_factory=dict)
-    hits: dict[int, int] = field(default_factory=dict)
-
-    def total_activations(self) -> int:
-        """Sum of activations across all banks."""
-        return sum(self.activations.values())
-
-    def total_hits(self) -> int:
-        """Sum of open-row hits across all banks."""
-        return sum(self.hits.values())

@@ -16,10 +16,11 @@ with zero third-party dependencies:
 * :mod:`repro.obs.export` -- Chrome ``trace_event`` JSON (open in
   Perfetto) and per-vault utilization / row-hit breakdown tables.
 * :mod:`repro.obs.telemetry` -- cross-process run telemetry: sweep and
-  serve workers record :class:`WorkerTelemetry` payloads whose span ids
-  derive from the attempt's :class:`TraceContext`, and
-  :class:`RunTelemetry` merges a sweep's payloads into one clock-aligned
-  Perfetto trace.
+  serve workers record :class:`WorkerTelemetry` payloads (spans whose
+  ids derive from the attempt's :class:`TraceContext`, plus log
+  records), one fold aligns them into the caller's clock for both, and
+  :class:`RunTelemetry` adds a sweep's lifecycle spans into one
+  clock-aligned Perfetto trace.
 * :mod:`repro.obs.profile` -- a zero-dependency
   :class:`SamplingProfiler` (``--profile hz``) with collapsed-stack and
   top-N self-time output.

@@ -32,26 +32,16 @@ Event kinds (:class:`EventKind`):
     (:class:`~repro.faults.BitErrorModel`); ``dur_ns`` is the ECC
     correction penalty (zero for detected-but-uncorrectable errors).
 
-Kinds ``WORKER_START`` .. ``CACHE_HIT`` are *run-telemetry* events:
-they describe the execution machinery (sweep workers, queueing,
-retries, cache replay) rather than the simulated device, are recorded
-through :mod:`repro.obs.telemetry` in host seconds, and never appear in
-an engine :class:`EventTrace`.  They share this registry so the OBS001
-lint rule covers every ``record``/``record_event`` call site in the
-repository from one vocabulary:
-
-``WORKER_START`` / ``WORKER_END``
-    A sweep worker process picked up / finished one grid point.
-``QUEUE_WAIT``
-    Time a dispatched point spent waiting for a worker slot.
-``RETRY``
-    A point needed extra attempts under the resilient executor.
-``CACHE_HIT``
-    A point was replayed from the on-disk result cache.
+The execution machinery of sweeps and serve (workers, queue waits,
+attempts, cache replay) is not an event stream: it is recorded as
+:class:`~repro.obs.spans.Span` records in host seconds
+(:mod:`repro.obs.telemetry`).
 
 Kinds ``REQUEST_START`` .. ``FLIGHT_DUMP`` are *request-tracing*
 events recorded at the serving edge (:mod:`repro.obs.tracectx` /
-:mod:`repro.obs.flight`), also in host seconds:
+:mod:`repro.obs.flight`) in host seconds; they never appear in an
+engine :class:`EventTrace`, and share this registry so the OBS001 lint
+rule covers every ``record`` call site from one vocabulary:
 
 ``REQUEST_START``
     A ``POST /plan`` request was admitted and a trace root created.
@@ -82,12 +72,6 @@ class EventKind(IntEnum):
     REFRESH_STALL = 2
     TSV_CONTENTION = 3
     BIT_ERROR = 4
-    # Run-telemetry kinds (host time, recorded via repro.obs.telemetry).
-    WORKER_START = 5
-    WORKER_END = 6
-    QUEUE_WAIT = 7
-    RETRY = 8
-    CACHE_HIT = 9
     # Request-tracing kinds (serve edge, recorded via repro.obs.tracectx).
     REQUEST_START = 10
     COALESCE_LINK = 11
@@ -106,11 +90,6 @@ ENGINE_EVENT_KINDS = frozenset(
         EventKind.BIT_ERROR,
     }
 )
-
-#: The run-telemetry kinds: execution-machinery events recorded in host
-#: seconds by :mod:`repro.obs.telemetry`.
-TELEMETRY_EVENT_KINDS = frozenset(set(EventKind) - ENGINE_EVENT_KINDS)
-
 
 #: The registered event vocabulary: name -> kind.  This mapping is the
 #: single source of truth for event names; the engines' ``EV_*`` aliases
@@ -131,11 +110,6 @@ EV_ROW_HIT = int(EVENT_REGISTRY["ROW_HIT"])
 EV_REFRESH_STALL = int(EVENT_REGISTRY["REFRESH_STALL"])
 EV_TSV_CONTENTION = int(EVENT_REGISTRY["TSV_CONTENTION"])
 EV_BIT_ERROR = int(EVENT_REGISTRY["BIT_ERROR"])
-EV_WORKER_START = int(EVENT_REGISTRY["WORKER_START"])
-EV_WORKER_END = int(EVENT_REGISTRY["WORKER_END"])
-EV_QUEUE_WAIT = int(EVENT_REGISTRY["QUEUE_WAIT"])
-EV_RETRY = int(EVENT_REGISTRY["RETRY"])
-EV_CACHE_HIT = int(EVENT_REGISTRY["CACHE_HIT"])
 EV_REQUEST_START = int(EVENT_REGISTRY["REQUEST_START"])
 EV_COALESCE_LINK = int(EVENT_REGISTRY["COALESCE_LINK"])
 EV_BREAKER_TRANSITION = int(EVENT_REGISTRY["BREAKER_TRANSITION"])
@@ -261,8 +235,8 @@ class EventTrace(Recorder):
         """Event count per kind name (engine kinds present, zero-filled).
 
         Engine traces only ever carry :data:`ENGINE_EVENT_KINDS`; should
-        a run-telemetry kind be recorded anyway it is still counted
-        under its own name rather than dropped.
+        another kind be recorded anyway it is still counted under its
+        own name rather than dropped.
         """
         result = {
             kind.name: 0 for kind in sorted(ENGINE_EVENT_KINDS)

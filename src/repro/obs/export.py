@@ -31,21 +31,11 @@ _EVENT_NAMES = {
     int(EventKind.REFRESH_STALL): "REFRESH",
     int(EventKind.TSV_CONTENTION): "TSV_WAIT",
     int(EventKind.BIT_ERROR): "BIT_ERR",
-    int(EventKind.WORKER_START): "WORKER_START",
-    int(EventKind.WORKER_END): "WORKER_END",
-    int(EventKind.QUEUE_WAIT): "QUEUE_WAIT",
-    int(EventKind.RETRY): "RETRY",
-    int(EventKind.CACHE_HIT): "CACHE_HIT",
     int(EventKind.REQUEST_START): "REQUEST_START",
     int(EventKind.COALESCE_LINK): "COALESCE_LINK",
     int(EventKind.BREAKER_TRANSITION): "BREAKER_TRANSITION",
     int(EventKind.FLIGHT_DUMP): "FLIGHT_DUMP",
 }
-
-
-def event_slice_name(kind: int) -> str:
-    """The Perfetto slice label for one event kind."""
-    return _EVENT_NAMES.get(kind, f"KIND_{kind}")
 
 
 def chrome_track_name(pid: int, name: str, tid: int | None = None) -> dict:
@@ -140,7 +130,8 @@ def write_chrome_trace(
 
 
 # ------------------------------------------------------------------- tables
-def _markdown(header: list[str], rows: list[list[str]]) -> str:
+def markdown_table(header: list[str], rows: list[list[str]]) -> str:
+    """A pipe-delimited markdown table (header, ``---`` rule, rows)."""
     lines = ["| " + " | ".join(header) + " |"]
     lines.append("|" + "|".join("---" for _ in header) + "|")
     for row in rows:
@@ -177,7 +168,7 @@ def vault_utilization_table(
                 f"{100 * util:.1f}%",
             ]
         )
-    return _markdown(
+    return markdown_table(
         ["vault", "accesses", "activations", "row-hit rate", "utilization"], rows
     )
 
@@ -195,7 +186,7 @@ def stats_vault_table(stats: AccessStats, config: Memory3DConfig) -> str:
         busy = stats.per_vault_busy_ns.get(vault, 0.0)
         share = busy / elapsed if elapsed > 0 else 0.0
         rows.append([f"{vault}", f"{busy:,.0f}", f"{100 * share:.1f}%"])
-    return _markdown(["vault", "busy ns (watermark)", "of elapsed"], rows)
+    return markdown_table(["vault", "busy ns (watermark)", "of elapsed"], rows)
 
 
 def event_summary_table(events: EventTrace) -> str:
@@ -208,4 +199,4 @@ def event_summary_table(events: EventTrace) -> str:
     rows.append(
         ["TSV wait ns", f"{events.stall_ns(EventKind.TSV_CONTENTION):,.1f}"]
     )
-    return _markdown(["event", "count / total"], rows)
+    return markdown_table(["event", "count / total"], rows)

@@ -34,9 +34,8 @@ dependencies:
 Every record carries two timestamps: ``ts_s`` (wall clock, for humans
 and cross-host aggregation) and ``perf_s`` (monotonic, process-local).
 Worker-process records are aligned into the parent's monotonic domain
-by :meth:`repro.obs.telemetry.RunTelemetry.merge_worker` exactly like
-spans, via the paired :class:`~repro.obs.telemetry.ClockAnchor`
-readings.
+by :func:`repro.obs.telemetry.fold_worker` exactly like spans, via
+the paired :class:`~repro.obs.telemetry.ClockAnchor` readings.
 
 Logging is run *metadata*: it never touches a deterministic sweep
 document (``tests/test_obs_logging.py`` compares a debug-logged

@@ -40,7 +40,6 @@ td:first-child, th:first-child { text-align: left; }
 pre { background: #f4f6fa; padding: .75rem; overflow-x: auto; }
 svg { background: #fbfcfe; border: 1px solid #c5cede; }
 .note { color: #5a6478; font-size: .9em; }
-.spark { vertical-align: middle; margin-right: .5rem; }
 """
 
 #: Track colours for the timeline SVG, cycled per process.
@@ -85,8 +84,8 @@ def svg_timeline(telemetry: RunTelemetry, width: int = 880) -> str:
     """An SVG swimlane view of a merged run trace.
 
     One lane per Chrome track (runner, each sweep point, each worker),
-    complete slices as bars, instants as ticks -- a static stand-in for
-    opening the full Perfetto trace.
+    every span slice as a bar (a zero-length one one pixel wide) -- a
+    static stand-in for opening the full Perfetto trace.
     """
     doc = telemetry.chrome_trace()
     names: dict[tuple[int, int], str] = {}
@@ -98,7 +97,7 @@ def svg_timeline(telemetry: RunTelemetry, width: int = 880) -> str:
                 process[event["pid"]] = event["args"]["name"]
             else:
                 names[(event["pid"], event["tid"])] = event["args"]["name"]
-        elif event.get("ph") in ("X", "i"):
+        elif event.get("ph") == "X":
             slices.append(event)
     if not slices:
         return '<p class="note">(no telemetry recorded)</p>'
@@ -106,7 +105,7 @@ def svg_timeline(telemetry: RunTelemetry, width: int = 880) -> str:
         {(event["pid"], event["tid"]) for event in slices}
     )
     end_us = max(
-        event["ts"] + event.get("dur", 0.0) for event in slices
+        event["ts"] + event["dur"] for event in slices
     ) or 1.0
     lane_h, pad, label_w = 20, 4, 150
     height = len(tracks) * lane_h + 2 * pad + 16
@@ -135,19 +134,12 @@ def svg_timeline(telemetry: RunTelemetry, width: int = 880) -> str:
         x = label_w + pad + event["ts"] * scale
         color = color_of[event["pid"]]
         title = html.escape(str(event["name"]))
-        if event["ph"] == "X":
-            bar_width = max(1.0, event.get("dur", 0.0) * scale)
-            parts.append(
-                f'<rect x="{x:.1f}" y="{y + 2}" width="{bar_width:.1f}" '
-                f'height="{lane_h - 6}" fill="{color}" fill-opacity="0.75">'
-                f"<title>{title}</title></rect>"
-            )
-        else:
-            parts.append(
-                f'<line x1="{x:.1f}" y1="{y + 1}" x2="{x:.1f}" '
-                f'y2="{y + lane_h - 3}" stroke="{color}" stroke-width="2">'
-                f"<title>{title}</title></line>"
-            )
+        bar_width = max(1.0, event["dur"] * scale)
+        parts.append(
+            f'<rect x="{x:.1f}" y="{y + 2}" width="{bar_width:.1f}" '
+            f'height="{lane_h - 6}" fill="{color}" fill-opacity="0.75">'
+            f"<title>{title}</title></rect>"
+        )
     axis_y = len(tracks) * lane_h + pad + 12
     parts.append(
         f'<text x="{label_w + pad}" y="{axis_y}" font-size="10" '

@@ -34,15 +34,10 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ReproError
 from repro.obs.logging import json_safe
 
 if TYPE_CHECKING:
     from repro.obs.tracectx import TraceContext
-
-
-class SpanError(ReproError):
-    """Invalid span nesting or use."""
 
 
 @dataclass

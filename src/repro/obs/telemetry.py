@@ -1,28 +1,27 @@
-"""Cross-process run telemetry: worker payloads and their merge.
+"""Cross-process run telemetry: worker payloads, their fold, the run trace.
 
 The parallel sweep engine and the planning service both run points in
-worker processes, and before this module those workers were
-observability black holes: per-point spans, retry timing and cache
-behaviour died inside the child process, leaving a 40-point sweep
-summarised by one wall-clock number.  This module threads one trace
-through the whole run:
+worker processes.  This module threads one trace through them, and
+:class:`~repro.obs.spans.Span` is its only record of host time:
 
 * every worker task carries the W3C
   :class:`~repro.obs.tracectx.TraceContext` of its attempt (``tracectx``,
   for sweeps :func:`sweep_context` of the run id, point and attempt);
 * :class:`WorkerTelemetry` -- what a worker records locally (a
   :class:`~repro.obs.spans.SpanTimeline` whose span ids derive from the
-  attempt's context, run-telemetry events, a
-  :class:`~repro.obs.metrics.MetricsRegistry`) plus a
+  attempt's context, and its structured log records) plus a
   :class:`ClockAnchor` pairing its monotonic clock with wall time, all
   serialized as one JSON-native payload shipped back with the result;
-* :class:`RunTelemetry` -- the parent-side merge: every worker payload
-  is aligned into the parent's monotonic clock domain via the anchors,
-  queue waits are derived from dispatch-vs-start timestamps, and the
-  whole run exports as ONE Chrome ``trace_event`` JSON -- runner spans,
-  per-point lifecycle tracks (queue wait, retries, cache hits) and one
-  process per worker, whose spans carry the same
-  ``trace_id``/``span_id``/``parent_id`` args as a serve trace.
+* :func:`fold_worker` -- the one fold of such a payload, for sweep and
+  serve alike: spans and log records are shifted into the caller's
+  monotonic clock domain and the records go to the global log pipeline;
+* :func:`attempt_span` -- the ``attempt`` span of one entry of the
+  retry loop's attempt log, again for sweep and serve alike;
+* :class:`RunTelemetry` -- a sweep's run trace: runner spans, per-point
+  lifecycle spans (``queue_wait``, ``attempt``, ``cache_hit``) and the
+  folded worker payloads, exported as ONE Chrome ``trace_event`` JSON
+  whose slices carry the same ``trace_id``/``span_id``/``parent_id``
+  args as a serve trace.
 
 All wall-clock reads in the repository's deterministic layers happen
 here (``repro.obs`` is the DET001-exempt zone); telemetry is run
@@ -33,17 +32,11 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import IO, Any
 
 from repro.errors import ReproError
-from repro.obs.events import (
-    EV_QUEUE_WAIT,
-    EV_WORKER_START,
-    EventKind,
-    registered_event_names,
-)
-from repro.obs.export import chrome_track_name, dump_json, event_slice_name
+from repro.obs.export import chrome_track_name, dump_json
 from repro.obs.histogram import QUEUE_WAIT_BOUNDS
 from repro.obs.logging import (
     DEBUG,
@@ -52,7 +45,6 @@ from repro.obs.logging import (
     LogRecord,
     StructuredLogger,
     global_pipeline,
-    json_safe,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanTimeline
@@ -61,8 +53,9 @@ from repro.obs.tracectx import TraceContext, TraceError
 #: Schema tag stamped into every serialized worker payload (v2 replaced
 #: the run id with the attempt's ``tracectx`` and gave every span its
 #: derived ``span_id``/``parent_id``; v3 ships each span as
-#: :meth:`~repro.obs.spans.Span.as_dict`).
-WORKER_TELEMETRY_SCHEMA = "repro-worker-telemetry/v3"
+#: :meth:`~repro.obs.spans.Span.as_dict`; v4 drops the ``events`` and
+#: ``metrics`` members: spans and log records are all a worker ships).
+WORKER_TELEMETRY_SCHEMA = "repro-worker-telemetry/v4"
 
 #: Chrome pid of the parent runner's span track.
 RUNNER_PID = 0
@@ -127,68 +120,27 @@ def sweep_context(run_id: str, point_id: int, attempt: int = 1) -> TraceContext:
     )
 
 
-# ------------------------------------------------------------ telemetry events
-@dataclass(frozen=True)
-class TelemetryEvent:
-    """One run-telemetry event in some process's monotonic clock.
+# ---------------------------------------------------------------- attempt span
+def attempt_span(record: dict[str, Any]) -> Span:
+    """The ``attempt`` span of one entry of an attempt log.
 
-    Attributes:
-        kind: a registered :class:`~repro.obs.events.EventKind` value.
-        ts_s: ``perf_counter`` timestamp (process-local until aligned).
-        dur_s: duration (0 for instants).
-        meta: free-form JSON-native annotations (point, attempt, ...).
+    ``record`` is one ``{attempt, status, start_s, duration_s, context}``
+    entry of the ``attempts`` list
+    :func:`~repro.sweep.resilience.attempt_point` returns.  Sweep and
+    serve both build their ``attempt`` spans here, so the two traces
+    name and annotate attempts alike.
     """
-
-    kind: int
-    ts_s: float
-    dur_s: float = 0.0
-    meta: dict[str, Any] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-native form."""
-        return {
-            "kind": int(self.kind),
-            "ts_s": self.ts_s,
-            "dur_s": self.dur_s,
-            "meta": dict(self.meta),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TelemetryEvent":
-        """Inverse of :meth:`as_dict` (validates the kind is registered)."""
-        kind = int(data["kind"])
-        try:
-            name = EventKind(kind).name
-        except ValueError:
-            name = ""
-        if name not in registered_event_names():
-            raise TelemetryError(f"unregistered telemetry event kind {kind}")
-        return cls(
-            kind=kind,
-            ts_s=float(data["ts_s"]),
-            dur_s=float(data.get("dur_s", 0.0)),
-            meta=dict(data.get("meta", {})),
-        )
-
-    def chrome_event(self, pid: int, tid: int, origin_s: float) -> dict:
-        """This event as a Chrome slice (``X``) or instant (``i``)."""
-        entry = {
-            "name": event_slice_name(self.kind),
-            "cat": "telemetry",
-            "pid": pid,
-            "tid": tid,
-            "ts": (self.ts_s - origin_s) * 1e6,
-            "args": {k: json_safe(v) for k, v in self.meta.items()},
-        }
-        if self.dur_s > 0:
-            entry.update(ph="X", dur=self.dur_s * 1e6)
-        else:
-            entry.update(ph="i", s="t")
-        return entry
+    return Span(
+        name="attempt",
+        start_s=record["start_s"],
+        end_s=record["start_s"] + record["duration_s"],
+        meta={"attempt": record["attempt"], "status": record["status"]},
+        context=record["context"],
+    )
 
 
 class _Recorder:
-    """Clock anchor, span timeline, events and metrics of one process."""
+    """Clock anchor and span timeline of one process."""
 
     def __init__(
         self, context: TraceContext, anchor: ClockAnchor | None = None
@@ -197,37 +149,16 @@ class _Recorder:
         #: The process's trace context; its spans' ids derive from it.
         self.context = context
         self.timeline = SpanTimeline(context)
-        self.registry = MetricsRegistry()
-        self.events: list[TelemetryEvent] = []
-
-    def now(self) -> float:
-        """This process's monotonic clock (``perf_counter`` seconds)."""
-        return time.perf_counter()
-
-    def record_event(
-        self, kind: int, dur_s: float = 0.0, ts_s: float | None = None,
-        **meta: Any,
-    ) -> TelemetryEvent:
-        """Record one run-telemetry event (timestamped now by default)."""
-        event = TelemetryEvent(
-            kind=int(kind),
-            ts_s=self.now() if ts_s is None else ts_s,
-            dur_s=dur_s,
-            meta={k: json_safe(v) for k, v in meta.items()},
-        )
-        self.events.append(event)
-        return event
 
 
 # ------------------------------------------------------------ worker telemetry
 class WorkerTelemetry(_Recorder):
     """What one worker records about one point attempt.
 
-    Created at task pickup (:meth:`start` anchors the clocks and records
-    a ``WORKER_START`` event), filled by the worker body (spans around
-    trace generation and simulation, telemetry events, metrics), and
-    shipped back to the parent as the JSON-native :meth:`as_dict`
-    payload riding on the task outcome.
+    Created at task pickup (which anchors the clocks), filled by the
+    worker body (a ``point`` span bracketing the attempt's work, log
+    records), and shipped back to the parent as the JSON-native
+    :meth:`as_dict` payload riding on the task outcome.
     """
 
     def __init__(
@@ -248,15 +179,6 @@ class WorkerTelemetry(_Recorder):
         self._log_pipeline = LogPipeline(level=DEBUG)
         self._log_pipeline.sinks = [ListSink(self.logs)]
 
-    @classmethod
-    def start(
-        cls, context: TraceContext, point_id: int = 0, attempt: int = 1
-    ) -> "WorkerTelemetry":
-        """Begin recording: anchor the clocks, mark ``WORKER_START``."""
-        telemetry = cls(context, point_id, attempt)
-        telemetry.record_event(EV_WORKER_START, point=point_id, attempt=attempt)
-        return telemetry
-
     def logger(
         self, name: str = "repro.sweep.worker", **extra: Any
     ) -> StructuredLogger:
@@ -267,7 +189,7 @@ class WorkerTelemetry(_Recorder):
         non-``None`` ``extra`` context such as the sweep's ``run_id``)
         and writes into this payload only -- records travel home with
         the task outcome and reach the parent's sinks via
-        :meth:`RunTelemetry.merge_worker`, clock-aligned like spans.
+        :func:`fold_worker`, clock-aligned like spans.
         """
         context: dict[str, Any] = {
             key: value for key, value in extra.items() if value is not None
@@ -290,8 +212,6 @@ class WorkerTelemetry(_Recorder):
             "worker_id": self.worker_id,
             "anchor": self.anchor.as_dict(),
             "spans": [span.as_dict() for span in self.timeline.spans],
-            "events": [event.as_dict() for event in self.events],
-            "metrics": self.registry.as_dict(),
             "logs": [record.as_dict() for record in self.logs],
         }
 
@@ -340,13 +260,6 @@ class WorkerTelemetry(_Recorder):
                         context=context,
                     )
                 )
-            telemetry.events = [
-                TelemetryEvent.from_dict(entry)
-                for entry in data.get("events", [])
-            ]
-            telemetry.registry = MetricsRegistry().merge_snapshot(
-                data.get("metrics", {})
-            )
             telemetry.logs.extend(
                 LogRecord.from_dict(entry)
                 for entry in data.get("logs", [])
@@ -360,87 +273,114 @@ class WorkerTelemetry(_Recorder):
         return telemetry
 
 
+# ----------------------------------------------------------------- worker fold
+def fold_worker(
+    payload: dict[str, Any], anchor: ClockAnchor, trace_id: str | None = None
+) -> dict[str, Any]:
+    """Fold one worker payload into the clock domain of ``anchor``.
+
+    The one fold of sweep and serve: rebuilds the
+    :class:`WorkerTelemetry`, shifts its spans and log records by the
+    anchor-pair offset (each span keeps its derived trace ids) and sends
+    the shifted records to the global log pipeline.  Returns the aligned
+    record: the payload's ``worker_id``, ``point_id``, ``attempt`` and
+    ``trace_id``, the ``clock_offset_s`` applied, and the shifted
+    ``spans`` and ``logs``.
+
+    Raises :class:`TelemetryError` on a malformed payload or, when
+    ``trace_id`` is given, on a payload of another trace, before any
+    record is sent.
+    """
+    telemetry = WorkerTelemetry.from_dict(payload)
+    if trace_id is not None and telemetry.context.trace_id != trace_id:
+        raise TelemetryError(
+            f"worker payload belongs to trace {telemetry.context.trace_id!r}, "
+            f"expected {trace_id!r}"
+        )
+    offset = telemetry.anchor.offset_to(anchor)
+    logs = [log.shifted(offset) for log in telemetry.logs]
+    pipeline = global_pipeline()
+    for log in logs:
+        if pipeline.enabled_for(log.level):
+            pipeline.emit(log)
+    return {
+        "worker_id": telemetry.worker_id,
+        "point_id": telemetry.point_id,
+        "attempt": telemetry.attempt,
+        "trace_id": telemetry.context.trace_id,
+        "clock_offset_s": offset,
+        "spans": [span.shifted(offset) for span in telemetry.timeline.spans],
+        "logs": logs,
+    }
+
+
 # --------------------------------------------------------------- run telemetry
 class RunTelemetry(_Recorder):
-    """The parent-side merge of a whole run's telemetry.
+    """A sweep's run trace, in the parent's monotonic clock domain.
 
-    Collects the runner's own spans and events, dispatch timestamps per
-    point, and every worker's :class:`WorkerTelemetry` payload -- each
-    aligned into the parent's monotonic clock domain via the paired
-    :class:`ClockAnchor` readings -- and exports the lot as one
-    Chrome/Perfetto trace plus a merged metrics registry.
+    Collects the runner's own spans, each point's lifecycle spans
+    (``queue_wait``, ``attempt``, ``cache_hit``) and every worker's
+    :class:`WorkerTelemetry` payload folded by :func:`fold_worker`, and
+    exports the lot as one Chrome/Perfetto trace.  :attr:`registry`
+    holds the run's ``telemetry.queue_wait_s`` histogram.
     """
 
     def __init__(self, run_id: str) -> None:
         # The run's root context: every worker payload shares its trace.
         super().__init__(TraceContext.root(run_id))
         self.run_id = run_id
-        #: Aligned worker records, in merge order.  Each holds the raw
-        #: payload's identity plus spans/events shifted into the parent
-        #: clock domain.
+        self.registry = MetricsRegistry()
+        #: Aligned worker records (:func:`fold_worker`), in merge order.
         self.workers: list[dict[str, Any]] = []
+        #: Point index -> its lifecycle spans, in record order.
+        self.point_spans: dict[int, list[Span]] = {}
         self._submits: dict[int, float] = {}
-
-    @classmethod
-    def start(cls, run_id: str) -> "RunTelemetry":
-        """Anchor the parent clocks and begin a run trace."""
-        return cls(run_id)
 
     # ------------------------------------------------------------- recording
     def mark_submit(self, point_id: int) -> None:
         """Record the dispatch instant of one point (queue-wait origin)."""
-        self._submits[point_id] = self.now()
+        self._submits[point_id] = time.perf_counter()
+
+    def mark_cache_hit(self, point_id: int) -> None:
+        """Record a zero-length ``cache_hit`` span on the point's track."""
+        now = time.perf_counter()
+        self._point_span(point_id, "cache_hit", now, now)
+
+    def record_attempts(
+        self, point_id: int, attempts: list[dict[str, Any]]
+    ) -> None:
+        """One ``attempt`` span per entry of the point's attempt log."""
+        self.point_spans.setdefault(point_id, []).extend(
+            attempt_span(record) for record in attempts
+        )
+
+    def _point_span(
+        self, point_id: int, name: str, start_s: float, end_s: float,
+        **meta: Any,
+    ) -> None:
+        context = sweep_context(self.run_id, point_id).child(name)
+        self.point_spans.setdefault(point_id, []).append(
+            Span(name, start_s, end_s, meta=meta, context=context)
+        )
 
     # --------------------------------------------------------------- merging
     def merge_worker(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Fold one worker payload in; returns the aligned record.
 
-        Spans and events are shifted into the parent's monotonic domain
-        (anchor-pair offset), each span keeping its derived trace ids, a
-        ``QUEUE_WAIT`` event is derived from the dispatch timestamp, and
-        the worker's metrics fold into :attr:`registry`.
+        :func:`fold_worker` aligns it into the parent's clock domain,
+        and a ``queue_wait`` span runs from the point's dispatch to the
+        worker's first span.
         """
-        telemetry = WorkerTelemetry.from_dict(payload)
-        trace_id = telemetry.context.trace_id
-        if trace_id != self.context.trace_id:
-            raise TelemetryError(
-                f"worker payload belongs to trace {trace_id!r}, "
-                f"expected run {self.run_id!r}"
-            )
-        offset = telemetry.anchor.offset_to(self.anchor)
-        point_id = telemetry.point_id
-        spans = [span.shifted(offset) for span in telemetry.timeline.spans]
-        events = [
-            replace(event, ts_s=event.ts_s + offset)
-            for event in telemetry.events
-        ]
-        logs = [log.shifted(offset) for log in telemetry.logs]
-        record = {
-            "worker_id": telemetry.worker_id,
-            "point_id": point_id,
-            "attempt": telemetry.attempt,
-            "trace_id": trace_id,
-            "clock_offset_s": offset,
-            "spans": spans,
-            "events": events,
-            "logs": logs,
-        }
+        record = fold_worker(payload, self.anchor, self.context.trace_id)
         self.workers.append(record)
-        self.registry.merge_snapshot(telemetry.registry.as_dict())
-        pipeline = global_pipeline()
-        for log in logs:
-            if pipeline.enabled_for(log.level):
-                pipeline.emit(log)
+        point_id = record["point_id"]
         submitted = self._submits.get(point_id)
-        started = min((span.start_s for span in spans), default=None)
+        started = min((span.start_s for span in record["spans"]), default=None)
         if submitted is not None and started is not None:
             wait = max(0.0, started - submitted)
-            self.record_event(
-                EV_QUEUE_WAIT,
-                dur_s=wait,
-                ts_s=submitted,
-                point=point_id,
-                worker=telemetry.worker_id,
+            self._point_span(
+                point_id, "queue_wait", submitted, submitted + wait,
+                worker=record["worker_id"],
             )
             self.registry.histogram(
                 "telemetry.queue_wait_s",
@@ -457,28 +397,25 @@ class RunTelemetry(_Recorder):
             seen.setdefault(record["worker_id"], None)
         return list(seen)
 
+    def _all_spans(self) -> list[Span]:
+        spans = list(self.timeline.spans)
+        for point_spans in self.point_spans.values():
+            spans += point_spans
+        for record in self.workers:
+            spans += record["spans"]
+        return spans
+
     def origin_s(self) -> float:
         """Earliest aligned timestamp across the whole run (0 if empty)."""
-        candidates = [span.start_s for span in self.timeline.spans]
-        candidates += [event.ts_s for event in self.events]
-        candidates += list(self._submits.values())
-        for record in self.workers:
-            candidates += [span.start_s for span in record["spans"]]
-            candidates += [event.ts_s for event in record["events"]]
-        return min(candidates, default=0.0)
+        candidates = [span.start_s for span in self._all_spans()]
+        return min(candidates + list(self._submits.values()), default=0.0)
 
     def summary(self) -> str:
         """One-line human description of the merged trace."""
-        spans = len(self.timeline) + sum(
-            len(record["spans"]) for record in self.workers
-        )
-        events = len(self.events) + sum(
-            len(record["events"]) for record in self.workers
-        )
         return (
             f"run {self.run_id}: {len(self.workers)} worker payload(s) from "
-            f"{len(self.worker_ids())} process(es), {spans} spans, "
-            f"{events} telemetry events"
+            f"{len(self.worker_ids())} process(es), "
+            f"{len(self._all_spans())} spans"
         )
 
     # ---------------------------------------------------------------- export
@@ -487,11 +424,11 @@ class RunTelemetry(_Recorder):
 
         Track layout: pid :data:`RUNNER_PID` carries the parent runner's
         span timeline; pid :data:`POINTS_PID` has one thread per grid
-        point with its lifecycle slices (``QUEUE_WAIT`` waits, ``RETRY``
-        and ``CACHE_HIT`` instants); each worker process gets its own
-        pid (named after the worker's OS pid) whose slices are the
-        clock-aligned worker spans, carrying ``trace_id``/``span_id``/
-        ``parent_id`` args like a serve trace.  All timestamps are
+        point with its lifecycle spans (``queue_wait``, ``attempt``,
+        zero-length ``cache_hit``); each worker process gets its own pid
+        (named after the worker's OS pid) whose slices are the
+        clock-aligned worker spans.  Every slice is a span carrying
+        ``trace_id``/``span_id``/``parent_id`` args like a serve trace.  All timestamps are
         microseconds relative to the earliest aligned instant, so the
         viewer opens at t=0 with every process on one monotonic axis.
         """
@@ -504,8 +441,7 @@ class RunTelemetry(_Recorder):
         )
 
         point_ids = sorted(
-            {event.meta["point"] for event in self.events
-             if "point" in event.meta}
+            set(self.point_spans)
             | {record["point_id"] for record in self.workers}
         )
         if point_ids:
@@ -514,10 +450,11 @@ class RunTelemetry(_Recorder):
             chrome_track_name(POINTS_PID, f"point {point_id}", tid=point_id)
             for point_id in point_ids
         )
-        out.extend(
-            event.chrome_event(POINTS_PID, event.meta.get("point", 0), origin)
-            for event in self.events
-        )
+        for point_id, spans in self.point_spans.items():
+            out.extend(
+                span.chrome_event(POINTS_PID, point_id, origin, point=point_id)
+                for span in spans
+            )
 
         pid_of = {
             worker_id: WORKER_PID_BASE + index
@@ -532,9 +469,6 @@ class RunTelemetry(_Recorder):
             out.extend(
                 span.chrome_event(pid, 0, origin, point=record["point_id"])
                 for span in record["spans"]
-            )
-            out.extend(
-                event.chrome_event(pid, 0, origin) for event in record["events"]
             )
 
         doc: dict = {"traceEvents": out, "displayTimeUnit": "ms"}

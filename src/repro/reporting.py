@@ -20,6 +20,7 @@ from repro.faults import degradation_report, render_degradation
 from repro.layouts import BlockDDLLayout, RowMajorLayout, optimal_block_geometry
 from repro.memory3d import Memory3D
 from repro.obs import EventTrace, vault_utilization_table
+from repro.obs.export import markdown_table
 from repro.sweep import ResultCache, SweepGrid, run_sweep
 from repro.viz import bar_chart, percentage
 
@@ -30,14 +31,6 @@ PAPER_TABLE1 = {
     8192: (3.2, 0.005, 23.04, 0.288),
 }
 PAPER_IMPROVEMENT = {2048: 95.1, 4096: 97.0, 8192: 96.6}
-
-
-def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "|".join("---" for _ in header) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
 
 
 def column_vault_tables(
@@ -113,7 +106,7 @@ def reproduce_report(
             percentage(opt["utilization"]),
             (f"{paper[0]} Gb/s / {paper[2]} GB/s" if paper else "--"),
         ])
-    sections.append(_markdown_table(
+    sections.append(markdown_table(
         ["N", "baseline (sim)", "base util", "optimized (sim)",
          "opt util", "paper (base/opt)"],
         rows,
@@ -136,7 +129,7 @@ def reproduce_report(
             (f"{paper}%" if paper else "--"),
             f"{opt_sys.latency_reduction_over(base_sys):.2f}x",
         ])
-    sections.append(_markdown_table(
+    sections.append(markdown_table(
         ["N", "baseline", "optimized", "improvement", "paper", "latency cut"],
         rows,
     ))
@@ -171,7 +164,7 @@ def reproduce_report(
     # --------------------------------------------------------------- energy
     sections += [f"## Energy -- column phase (N={n_ab})", ""]
     energy = column_energy_comparison(config, n_ab, max_requests)
-    sections.append(_markdown_table(
+    sections.append(markdown_table(
         ["architecture", "total", "activation share", "activations"],
         [
             [label, f"{e.total_nj / 1e6:.3f} mJ",

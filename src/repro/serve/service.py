@@ -44,7 +44,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import CancelledError as FutureCancelled
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.core.config import SystemConfig
@@ -60,7 +60,13 @@ from repro.obs.histogram import (
 )
 from repro.obs.live import LiveStatus, Scraped
 from repro.obs.logging import get_logger
-from repro.obs.telemetry import ClockAnchor, TelemetryError, WorkerTelemetry
+from repro.obs.spans import Span
+from repro.obs.telemetry import (
+    ClockAnchor,
+    TelemetryError,
+    attempt_span,
+    fold_worker,
+)
 from repro.obs.tracectx import RequestTracer, TraceContext, parse_traceparent
 from repro.serialization import system_to_dict
 from repro.serve.admission import AdmissionController
@@ -796,49 +802,43 @@ class PlanService:
                 )
         if self.tracer is not None:
             for record in attempts:
-                self.tracer.record(
-                    record["context"],
-                    "attempt",
-                    start_s=record["start_s"],
-                    duration_s=record["duration_s"],
-                    attempt=record["attempt"],
-                    status=record["status"],
-                )
+                self._trace(attempt_span(record))
 
     def _merge_worker_trace(self, payload: dict[str, Any] | None) -> None:
-        """Fold a pool worker's telemetry spans into the request trace.
+        """Fold a pool worker's telemetry into the request trace.
 
-        The worker derived each span's context from the attempt's, so
-        this only shifts timestamps into this process's perf domain (via
-        the anchor pair).  Telemetry defects are swallowed -- tracing
-        must never fail a successful compute.
+        :func:`~repro.obs.telemetry.fold_worker` shifts the worker's
+        spans into this process's perf domain and sends its log records
+        to the global pipeline, as a sweep does.  Telemetry defects are
+        swallowed -- tracing must never fail a successful compute.
         """
         if self.tracer is None or not payload:
             return
         try:
-            telemetry = WorkerTelemetry.from_dict(payload)
+            folded = fold_worker(payload, self._anchor)
         except TelemetryError:
             return
-        offset = telemetry.anchor.offset_to(self._anchor)
-        for span in telemetry.timeline.spans:
-            if span.context is None:  # rebuilt worker spans all carry one
-                continue
-            duration_s = max(0.0, span.duration_s)
-            self.tracer.record(
-                span.context,
-                f"worker:{span.name}",
-                start_s=span.start_s + offset,
-                duration_s=duration_s,
-                **span.meta,
-            )
+        for span in folded["spans"]:
+            self._trace(replace(span, name=f"worker:{span.name}"))
             if span.name == "simulate":
                 self.live.observe(
                     "serve.engine_phase_s",
-                    duration_s,
+                    max(0.0, span.duration_s),
                     ENGINE_PHASE_BOUNDS,
-                    exemplar=span.context.trace_id,
+                    exemplar=folded["trace_id"],
                     help="engine simulation phase inside a worker (seconds)",
                 )
+
+    def _trace(self, span: Span) -> None:
+        """Record one finished span with the request tracer."""
+        assert self.tracer is not None and span.context is not None
+        self.tracer.record(
+            span.context,
+            span.name,
+            start_s=span.start_s,
+            duration_s=max(0.0, span.duration_s),
+            **span.meta,
+        )
 
     # ----------------------------------------------------------------- metrics
     def _last_failure_reason(self) -> str | None:

@@ -38,7 +38,6 @@ from typing import Any
 from repro.core.config import SystemConfig
 from repro.core.simulate import simulate_column_phase
 from repro.errors import ConfigError
-from repro.obs.events import EV_CACHE_HIT, EV_RETRY, EV_WORKER_END
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import SweepStatus
@@ -208,7 +207,7 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
         apply_chaos(chaos, task["index"], attempt)
     worker_tel: WorkerTelemetry | None = None
     if task.get("tracectx"):
-        worker_tel = WorkerTelemetry.start(
+        worker_tel = WorkerTelemetry(
             TraceContext.from_dict(task["tracectx"]), task["index"], attempt
         )
     timeline = worker_tel.timeline if worker_tel is not None else None
@@ -233,7 +232,6 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
         "metrics": registry.as_dict(),
     }
     if worker_tel is not None:
-        worker_tel.record_event(EV_WORKER_END, point=task["index"])
         worker_tel.logger(run_id=task.get("run_id")).debug(
             "point simulated",
             n=result["n"],
@@ -269,21 +267,6 @@ def _settle(task: dict[str, Any], call: Callable[[], dict[str, Any]]) -> dict[st
             attempts=1,
         )
         return {"status": "failed", "failure": failure, "retries": 0, "attempts": []}
-
-
-def _record_retry_events(
-    run_tel: RunTelemetry, index: int, attempts: list[dict[str, Any]]
-) -> None:
-    """Turn one point's failed attempts into RETRY telemetry events."""
-    for record in attempts:
-        if record["status"] != "ok":
-            run_tel.record_event(
-                EV_RETRY,
-                point=index,
-                attempt=record["attempt"],
-                status=record["status"],
-                duration_s=record["duration_s"],
-            )
 
 
 def _drain(
@@ -389,7 +372,7 @@ def run_sweep(
         telemetry: record cross-process run telemetry -- every worker
             task carries its attempt's trace context
             (:func:`~repro.obs.telemetry.sweep_context`), workers ship
-            span/event payloads back, and the merged
+            span and log payloads back, and the merged
             :class:`~repro.obs.telemetry.RunTelemetry` lands on the
             result's ``telemetry`` attribute (run metadata only: the
             deterministic JSON document is untouched).
@@ -443,7 +426,7 @@ def run_sweep(
         )[:12]
     if telemetry:
         assert run_id is not None
-        run_tel = RunTelemetry.start(run_id)
+        run_tel = RunTelemetry(run_id)
     log = get_logger("repro.sweep", **({"run_id": run_id} if run_id else {}))
     points = grid.points()
     results: list[dict[str, Any] | None] = [None] * len(points)
@@ -491,7 +474,7 @@ def run_sweep(
                 if status is not None:
                     status.mark_cached(index)
                 if run_tel is not None:
-                    run_tel.record_event(EV_CACHE_HIT, point=index)
+                    run_tel.mark_cache_hit(index)
                 log.debug("cache hit", point=index)
                 continue
             to_store[index] = (key, payload)
@@ -543,7 +526,7 @@ def run_sweep(
                 ok = entry["status"] == "ok"
                 index = (entry["outcome"] if ok else entry["failure"])["index"]
                 if run_tel is not None:
-                    _record_retry_events(run_tel, index, entry["attempts"])
+                    run_tel.record_attempts(index, entry["attempts"])
                 if ok:
                     outcome = entry["outcome"]
                     result = _shared_strings(outcome["result"])

@@ -54,15 +54,6 @@ def period_ns(freq_hz: float) -> float:
     return NS_PER_S / freq_hz
 
 
-def bytes_per_ns_to_gbps(rate: float) -> float:
-    """Convert a rate in bytes/ns to GB/s (decimal).
-
-    One byte per nanosecond is exactly one GB/s with SI units, so this is an
-    identity -- it exists to make call sites self-documenting.
-    """
-    return rate
-
-
 def gbps(value: float) -> float:
     """A bandwidth given in GB/s, as bytes/second."""
     return value * GIGA

@@ -12,7 +12,7 @@ from repro.obs.telemetry import sweep_context
 
 def merged_run() -> RunTelemetry:
     """A RunTelemetry with one worker payload, deterministic clocks."""
-    run = RunTelemetry.start("report-run")
+    run = RunTelemetry("report-run")
     run.anchor = ClockAnchor(wall_s=100.0, perf_s=10.0)
     worker = WorkerTelemetry(
         sweep_context("report-run", 0),
@@ -50,7 +50,7 @@ class TestMarkdownTableHtml:
 
 class TestSvgTimeline:
     def test_empty_run_notes_absence(self):
-        run = RunTelemetry.start("empty")
+        run = RunTelemetry("empty")
         assert svg_timeline(run) == '<p class="note">(no telemetry recorded)</p>'
 
     def test_merged_run_renders_lanes(self):

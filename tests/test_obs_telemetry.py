@@ -4,18 +4,16 @@ import json
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.obs import (
     ClockAnchor,
+    ListSink,
     RequestTracer,
     RunTelemetry,
     TraceContext,
     WorkerTelemetry,
-)
-from repro.obs.events import (
-    EV_CACHE_HIT,
-    EV_QUEUE_WAIT,
-    EV_RETRY,
-    EV_WORKER_START,
+    configure_logging,
+    reset_logging,
 )
 from repro.obs.telemetry import (
     POINTS_PID,
@@ -23,16 +21,26 @@ from repro.obs.telemetry import (
     WORKER_PID_BASE,
     WORKER_TELEMETRY_SCHEMA,
     TelemetryError,
-    TelemetryEvent,
+    fold_worker,
     sweep_context,
 )
+from repro.serialization import system_to_dict
 from repro.serve import PlanService
-from repro.sweep import SweepGrid, run_sweep
+from repro.sweep import RetryPolicy, SweepGrid, run_sweep
+from repro.sweep.runner import _execute_task, point_payload
+
+
+@pytest.fixture
+def debug_records():
+    """The records the global pipeline receives at debug level."""
+    sink = configure_logging(level="debug").add_sink(ListSink())
+    yield sink.records
+    reset_logging()
 
 
 def make_run(run_id="run", wall=1000.0, perf=50.0) -> RunTelemetry:
     """A RunTelemetry with a pinned (deterministic) parent anchor."""
-    run = RunTelemetry.start(run_id)
+    run = RunTelemetry(run_id)
     run.anchor = ClockAnchor(wall_s=wall, perf_s=perf)
     return run
 
@@ -170,13 +178,19 @@ class TestTraceIdentity:
             SweepGrid(sizes=(256,), layouts=("ddl",)),
             max_requests=2_048,
             jobs=1,
+            policy=RetryPolicy(),
             telemetry=True,
         )
         (record,) = swept.telemetry.workers
-        attempt = sweep_context(
+        (sweep_attempt,) = [
+            span
+            for span in swept.telemetry.point_spans[record["point_id"]]
+            if span.name == "attempt"
+        ]
+        assert sweep_attempt.context == sweep_context(
             swept.telemetry.run_id, record["point_id"], record["attempt"]
         )
-        sweep_tree = tree(record["spans"], attempt.span_id)
+        sweep_tree = tree(record["spans"], sweep_attempt.context.span_id)
 
         tracer = RequestTracer()
         with PlanService(jobs=1, tracer=tracer) as service:
@@ -194,39 +208,90 @@ class TestTraceIdentity:
             ("simulate", 0, []),
         ]
         assert serve_tree == sweep_tree
-
-
-class TestTelemetryEvent:
-    def test_round_trip(self):
-        event = TelemetryEvent(
-            kind=EV_RETRY, ts_s=1.5, dur_s=0.25, meta={"point": 3}
+        # The attempt itself: one helper names and annotates it for both.
+        for attempt in (sweep_attempt, serve_attempt):
+            assert attempt.name == "attempt"
+            assert attempt.meta == {"attempt": 1, "status": "ok"}
+        (serve_point,) = [span for span in spans if span.name == "point"]
+        assert serve_attempt.context.parent_id == serve_point.context.span_id
+        assert sweep_attempt.context.parent_id == (
+            TraceContext.root(swept.telemetry.run_id).child("point", 0).span_id
         )
-        assert TelemetryEvent.from_dict(event.as_dict()) == event
 
-    def test_unregistered_kind_rejected(self):
-        with pytest.raises(TelemetryError, match="unregistered"):
-            TelemetryEvent.from_dict({"kind": 999, "ts_s": 0.0})
+    def test_sweep_and_serve_deliver_the_same_worker_log(self, debug_records):
+        """The worker's "point simulated" record reaches the pipeline from
+        both paths, with the same level, message and fields."""
+
+        def simulated():
+            (record,) = [
+                r for r in debug_records if r.message == "point simulated"
+            ]
+            debug_records.clear()
+            return record
+
+        run_sweep(
+            SweepGrid(sizes=(256,), layouts=("ddl",)),
+            max_requests=2_048,
+            jobs=1,
+            telemetry=True,
+        )
+        swept = simulated()
+        with PlanService(jobs=1, tracer=RequestTracer()) as service:
+            code, _, _ = service.handle(
+                {"n": 256, "layouts": ["ddl"], "max_requests": 2_048}
+            )
+        assert code == 200
+        served = simulated()
+
+        def comparable(record):
+            # Run and request ids (and the worker's pid) name this
+            # execution, not the point.
+            context = {
+                key: value
+                for key, value in record.context.items()
+                if key not in ("run_id", "trace_id", "request_id", "worker_id")
+            }
+            return (
+                record.level, record.logger, record.message, record.fields,
+                context,
+            )
+
+        assert comparable(served) == comparable(swept)
+        assert served.fields["layout"] == "ddl" and served.fields["n"] == 256
 
 
 class TestWorkerTelemetry:
-    def test_start_marks_worker_start(self):
-        telemetry = WorkerTelemetry.start(sweep_context("run", 5), point_id=5)
-        assert [event.kind for event in telemetry.events] == [EV_WORKER_START]
-        assert telemetry.events[0].meta == {"point": 5, "attempt": 1}
+    def test_point_span_brackets_the_worker(self):
+        (point,) = SweepGrid(sizes=(128,), layouts=("ddl",)).points()
+        payload = point_payload(point, system_to_dict(SystemConfig()), 2_048)
+        context = sweep_context("run", 5)
+        outcome = _execute_task(
+            {"index": 5, **payload, "tracectx": context.as_dict()}
+        )
+        worker = WorkerTelemetry.from_dict(outcome["telemetry"])
+        first, *inner = worker.timeline.spans
+        assert (first.name, first.context.parent_id) == ("point", context.span_id)
+        assert first.meta["attempt"] == 1
+        assert inner and all(
+            first.start_s <= span.start_s and span.end_s <= first.end_s
+            for span in inner
+        )
 
     def test_payload_round_trips_through_json(self):
         telemetry = make_worker(point_id=2)
-        telemetry.record_event(EV_RETRY, dur_s=0.1, point=2, status="error")
-        telemetry.registry.counter("c", help="x").inc(3)
+        telemetry.logger(run_id="run").debug("point simulated", n=128)
 
         wire = json.loads(json.dumps(telemetry.as_dict()))
+        assert set(wire) == {
+            "schema", "tracectx", "point_id", "attempt", "worker_id",
+            "anchor", "spans", "logs",
+        }
         rebuilt = WorkerTelemetry.from_dict(wire)
 
         assert rebuilt.context == telemetry.context
         assert rebuilt.worker_id == telemetry.worker_id
         assert rebuilt.anchor == telemetry.anchor
-        assert rebuilt.events == telemetry.events
-        assert rebuilt.registry.as_dict() == telemetry.registry.as_dict()
+        assert rebuilt.logs == telemetry.logs
         assert [s.name for s in rebuilt.timeline.spans] == ["point"]
         assert rebuilt.timeline.spans[0].meta == {"n": 128}
         # Serialization is idempotent: the rebuilt payload re-serializes
@@ -247,10 +312,10 @@ class TestWorkerTelemetry:
         with pytest.raises(TelemetryError, match="malformed"):
             WorkerTelemetry.from_dict(payload)
 
-    def test_malformed_event_kind_rejected(self):
+    def test_malformed_span_rejected(self):
         payload = make_worker().as_dict()
-        payload["events"] = [{"kind": 999, "ts_s": 0.0}]
-        with pytest.raises(TelemetryError, match="unregistered"):
+        del payload["spans"][0]["name"]
+        with pytest.raises(TelemetryError, match="malformed"):
             WorkerTelemetry.from_dict(payload)
 
 
@@ -288,20 +353,53 @@ class TestRunTelemetryMerge:
         run = make_run()
         run._submits[0] = 50.2  # dispatched at parent-perf 50.2
         run.merge_worker(make_worker(span_at=8.0).as_dict())  # starts at 51.0
-        waits = [e for e in run.events if e.kind == EV_QUEUE_WAIT]
-        assert len(waits) == 1
-        assert waits[0].dur_s == pytest.approx(0.8)
-        assert waits[0].ts_s == pytest.approx(50.2)
+        (wait,) = run.point_spans[0]
+        assert wait.name == "queue_wait"
+        assert wait.duration_s == pytest.approx(0.8)
+        assert wait.start_s == pytest.approx(50.2)
+        assert wait.meta == {"worker": 4242}
+        assert wait.context == sweep_context("run", 0).child("queue_wait")
         hist = run.registry.as_dict()["telemetry.queue_wait_s"]
         assert hist["count"] == 1
 
-    def test_worker_metrics_fold_into_run_registry(self):
+    def test_attempts_and_cache_hits_are_point_spans(self):
         run = make_run()
+        point = TraceContext.root("run").child("point", 2)
+        run.record_attempts(
+            2,
+            [
+                {
+                    "attempt": attempt,
+                    "status": status,
+                    "start_s": start_s,
+                    "duration_s": 0.25,
+                    "context": point.child("attempt", attempt),
+                }
+                for attempt, status, start_s in ((1, "error", 51.0), (2, "ok", 52.0))
+            ],
+        )
+        run.mark_cache_hit(3)
+        first, second = run.point_spans[2]
+        assert [(s.name, s.meta) for s in (first, second)] == [
+            ("attempt", {"attempt": 1, "status": "error"}),
+            ("attempt", {"attempt": 2, "status": "ok"}),
+        ]
+        assert second.context == sweep_context("run", 2, 2)
+        assert (second.start_s, second.end_s) == (52.0, 52.25)
+        (hit,) = run.point_spans[3]
+        assert (hit.name, hit.duration_s) == ("cache_hit", 0.0)
+        assert hit.context.parent_id == sweep_context("run", 3).span_id
+
+    def test_fold_sends_logs_of_its_trace_only(self, debug_records):
         worker = make_worker()
-        worker.registry.counter("sim.points", help="points").inc(1)
-        run.merge_worker(worker.as_dict())
-        run.merge_worker(make_worker(worker_id=999, point_id=1).as_dict())
-        assert run.registry.as_dict()["sim.points"]["value"] == 1
+        worker.logger().debug("point simulated", n=128)
+        with pytest.raises(TelemetryError, match="expected"):
+            fold_worker(worker.as_dict(), ClockAnchor(1000.0, 50.0), "other")
+        assert debug_records == []
+        record = fold_worker(worker.as_dict(), ClockAnchor(1000.0, 50.0))
+        (log,) = debug_records
+        assert log == record["logs"][0]
+        assert log.perf_s == pytest.approx(worker.logs[0].perf_s + 43.0)
 
     def test_worker_ids_first_seen_order(self):
         run = make_run()
@@ -326,7 +424,7 @@ class TestChromeTrace:
         run = make_run()
         with run.timeline.span("execute", tasks=2):
             pass
-        run.record_event(EV_CACHE_HIT, point=3)
+        run.mark_cache_hit(3)
         run.merge_worker(make_worker(worker_id=111, point_id=0).as_dict())
         run.merge_worker(make_worker(worker_id=222, point_id=1).as_dict())
         doc = run.chrome_trace(metadata={"jobs": 2})
@@ -345,11 +443,12 @@ class TestChromeTrace:
         # Monotonic alignment: all timestamps relative to a t=0 origin.
         stamps = [e["ts"] for e in events if "ts" in e]
         assert stamps and min(stamps) == 0.0
-        # The cache hit renders as an instant on the point's thread.
-        instants = [e for e in events if e["ph"] == "i"]
-        assert any(
-            e["name"] == "CACHE_HIT" and e["tid"] == 3 for e in instants
-        )
+        # Every slice is a span; the cache hit is a zero-length one on
+        # the point's thread.
+        slices = [e for e in events if e["ph"] != "M"]
+        assert {e["cat"] for e in slices} == {"span"}
+        (hit,) = [e for e in slices if e["name"] == "cache_hit"]
+        assert (hit["pid"], hit["tid"], hit["dur"]) == (POINTS_PID, 3, 0.0)
         assert doc["otherData"]["jobs"] == "2"
 
     def test_write_chrome_trace_path_and_handle(self, tmp_path):

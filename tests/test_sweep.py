@@ -807,21 +807,15 @@ class TestTelemetry:
             cache=ResultCache(tmp_path / "cache"),
             telemetry=True,
         )
-        from repro.obs.events import EV_CACHE_HIT
-
-        hits = [
-            event
-            for event in warm.telemetry.events
-            if event.kind == EV_CACHE_HIT
-        ]
-        assert len(hits) == self.GRID.n_points()
-        assert {event.meta["point"] for event in hits} == set(
-            range(self.GRID.n_points())
-        )
+        hits = {
+            point: [span.name for span in spans]
+            for point, spans in warm.telemetry.point_spans.items()
+        }
+        assert hits == {
+            point: ["cache_hit"] for point in range(self.GRID.n_points())
+        }
 
     def test_retry_events_under_chaos(self):
-        from repro.obs.events import EV_RETRY
-
         result = run_sweep(
             self.GRID,
             max_requests=SAMPLE,
@@ -830,15 +824,19 @@ class TestTelemetry:
             telemetry=True,
         )
         assert not result.failures
-        retries = [
-            event
-            for event in result.telemetry.events
-            if event.kind == EV_RETRY
-        ]
-        assert [(e.meta["point"], e.meta["attempt"]) for e in retries] == [
-            (0, 1)
-        ]
-        assert retries[0].meta["status"] == "error"
+        attempts = {
+            point: [
+                (span.meta["attempt"], span.meta["status"])
+                for span in spans
+                if span.name == "attempt"
+            ]
+            for point, spans in result.telemetry.point_spans.items()
+        }
+        assert attempts[0] == [(1, "error"), (2, "ok")]
+        assert all(
+            attempts[point] == [(1, "ok")]
+            for point in range(1, self.GRID.n_points())
+        )
 
 
 class TestWarmWorkerReuse:

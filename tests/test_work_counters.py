@@ -191,8 +191,9 @@ REFRESH_SWEEP = {
 }
 
 #: A cold SPEC request: one attempt and one cache write per point, the
-#: request's tracer spans, and two records: "request admitted" and
-#: "request served".
+#: request's tracer spans, and nine records: "request admitted",
+#: "request served" and each computed point's worker record ("point
+#: simulated"), forwarded by the worker-payload fold as a sweep does.
 SERVE_COLD = {
     "trace.column_walk_trace": 3,
     "trace.block_column_read_trace": 4,
@@ -207,7 +208,7 @@ SERVE_COLD = {
     "cache.get": 7,
     "cache.put": 7,
     "tracer.record": 29,
-    "log.records": 2,
+    "log.records": 9,
 }
 
 #: The same request again: seven cache reads, one request span, and
