@@ -25,6 +25,7 @@ path unless they opt in.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,6 +37,7 @@ from repro.layouts.base import Layout
 from repro.layouts.block_ddl import BlockDDLLayout
 from repro.layouts.optimizer import optimal_block_geometry
 from repro.layouts.row_major import RowMajorLayout
+from repro.layouts.tiled import TiledLayout
 from repro.memory3d.memory import Memory3D
 from repro.memory3d.stats import AccessStats
 from repro.obs.spans import SpanTimeline, span_or_null
@@ -193,6 +195,33 @@ def column_phase_layout(
             f"'ddl' or one of {sorted(candidates)}"
         )
     return candidates[layout].build(n, n)
+
+
+def column_phase_key(
+    config: SystemConfig,
+    n: int,
+    layout: str,
+    height: int | None = None,
+    whole_blocks: bool = True,
+    max_requests: int = DEFAULT_SAMPLE_REQUESTS,
+) -> tuple[str, int, bool, int, str]:
+    """What decides the column phase :func:`simulate_column_phase` prices.
+
+    Two calls with equal keys price the same phase, so their runs are
+    equal but for the ``layout`` name.  The key holds the serialized
+    config, ``n``, ``whole_blocks``, ``max_requests`` and the resolved
+    layout's canonical description: ``"ddl"`` under Eq. (1) keys as its
+    explicit height, a ``block-ddl-wWhH`` candidate as ``"ddl"`` of the
+    same block, and a tiled layout of one-row tiles (element ``(r, c)``
+    at ``r * n + c``) as row-major.  No trace is generated.
+    """
+    from repro.serialization import system_to_dict  # import cycle guard
+
+    built = column_phase_layout(config, n, layout, height)
+    if isinstance(built, TiledLayout) and built.tile_rows == 1:
+        built = RowMajorLayout(built.n_rows, built.n_cols, built.base)
+    config_json = json.dumps(system_to_dict(config), sort_keys=True)
+    return config_json, n, whole_blocks, max_requests, built.describe()
 
 
 def column_phase_trace(

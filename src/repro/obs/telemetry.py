@@ -319,9 +319,10 @@ class RunTelemetry(_Recorder):
     """A sweep's run trace, in the parent's monotonic clock domain.
 
     Collects the runner's own spans, each point's lifecycle spans
-    (``queue_wait``, ``attempt``, ``cache_hit``) and every worker's
-    :class:`WorkerTelemetry` payload folded by :func:`fold_worker`, and
-    exports the lot as one Chrome/Perfetto trace.  :attr:`registry`
+    (``queue_wait``, ``attempt``, ``cache_hit``, ``shared``) and every
+    worker's :class:`WorkerTelemetry` payload folded by
+    :func:`fold_worker`, and exports the lot as one Chrome/Perfetto
+    trace.  :attr:`registry`
     holds the run's ``telemetry.queue_wait_s`` histogram.
     """
 
@@ -345,6 +346,17 @@ class RunTelemetry(_Recorder):
         """Record a zero-length ``cache_hit`` span on the point's track."""
         now = time.perf_counter()
         self._point_span(point_id, "cache_hit", now, now)
+
+    def mark_shared(self, point_id: int, representative: int) -> None:
+        """Record a zero-length ``shared`` span on the point's track.
+
+        The point took the run of point ``representative``, which
+        priced the same column phase.
+        """
+        now = time.perf_counter()
+        self._point_span(
+            point_id, "shared", now, now, representative=representative
+        )
 
     def record_attempts(
         self, point_id: int, attempts: list[dict[str, Any]]
@@ -425,8 +437,8 @@ class RunTelemetry(_Recorder):
         Track layout: pid :data:`RUNNER_PID` carries the parent runner's
         span timeline; pid :data:`POINTS_PID` has one thread per grid
         point with its lifecycle spans (``queue_wait``, ``attempt``,
-        zero-length ``cache_hit``); each worker process gets its own pid
-        (named after the worker's OS pid) whose slices are the
+        zero-length ``cache_hit`` and ``shared``); each worker process
+        gets its own pid (named after the worker's OS pid) whose slices are the
         clock-aligned worker spans.  Every slice is a span carrying
         ``trace_id``/``span_id``/``parent_id`` args like a serve trace.  All timestamps are
         microseconds relative to the earliest aligned instant, so the

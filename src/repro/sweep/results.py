@@ -142,6 +142,9 @@ class SweepResult:
         cached = self.meta.get("cached")
         if simulated is not None:
             parts.append(f"{simulated} simulated")
+        shared = self.meta.get("shared")
+        if shared:
+            parts.append(f"{shared} of them sharing a phase")
         if cached is not None:
             parts.append(f"{cached} from cache")
         resumed = self.meta.get("resumed")

@@ -3,7 +3,10 @@
 The runner walks a grid's points in their deterministic order and, for
 each point, either replays a cached result or simulates the column
 phase via :func:`repro.core.simulate.simulate_column_phase`.  Uncached
-points fan out across worker processes
+points that price the same phase (equal
+:func:`~repro.core.simulate.column_phase_key`) share one simulation:
+the first is attempted, the others take its result under their own
+labels.  Uncached points fan out across worker processes
 (:class:`concurrent.futures.ProcessPoolExecutor`); ``jobs=1`` runs the
 identical code path inline, so parallelism can never change results.
 
@@ -32,12 +35,12 @@ from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Hashable, Iterator
 from typing import Any
 
 from repro.core.config import SystemConfig
-from repro.core.simulate import simulate_column_phase
-from repro.errors import ConfigError
+from repro.core.simulate import column_phase_key, simulate_column_phase
+from repro.errors import ConfigError, ReproError
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import SweepStatus
@@ -245,13 +248,25 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
 
 # -------------------------------------------------------------- outcome plumbing
 def _execute_entry(task: dict[str, Any]) -> dict[str, Any]:
-    """Pool body without a retry policy: one attempt in this process."""
-    return {
+    """Pool body without a retry policy: one attempt in this process.
+
+    Returns the one-entry attempt log
+    :func:`~repro.sweep.resilience.attempt_point` would, its ``context``
+    the attempt-1 context the task carries, so a traced sweep records
+    the ``attempt`` span its worker ``point`` span hangs under.
+    """
+    start_s = time.perf_counter()  # repro: ignore[DET001]
+    outcome = _execute_task(task)
+    duration_s = time.perf_counter() - start_s  # repro: ignore[DET001]
+    tracectx = task.get("tracectx")
+    attempt = {
+        "attempt": 1,
         "status": "ok",
-        "outcome": _execute_task(task),
-        "retries": 0,
-        "attempts": [],
+        "start_s": start_s,
+        "duration_s": duration_s,
+        "context": TraceContext.from_dict(tracectx) if tracectx else None,
     }
+    return {"status": "ok", "outcome": outcome, "retries": 0, "attempts": [attempt]}
 
 
 def _settle(task: dict[str, Any], call: Callable[[], dict[str, Any]]) -> dict[str, Any]:
@@ -312,6 +327,23 @@ def _iter_outcomes(
         # repro: ignore[CONC003]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from _drain(pool, body, tasks)
+
+
+def _phase_key(
+    config: SystemConfig, point: SweepPoint, max_requests: int
+) -> Hashable | None:
+    """``point``'s :func:`~repro.core.simulate.column_phase_key`.
+
+    ``None`` when the layout does not resolve: such a point shares no
+    run, and its own attempt reports the error.
+    """
+    try:
+        return column_phase_key(
+            config, point.n, point.layout, point.height,
+            point.whole_blocks, max_requests,
+        )
+    except ReproError:
+        return None
 
 
 def point_payload(
@@ -412,12 +444,11 @@ def run_sweep(
     # deterministic result document results.py serializes.
     started = time.perf_counter()  # repro: ignore[DET001]
 
-    config_dicts = {
-        variant.label: system_to_dict(
-            system_with_overrides(config, dict(variant.overrides))
-        )
+    configs = {
+        variant.label: system_with_overrides(config, dict(variant.overrides))
         for variant in grid.configs
     }
+    config_dicts = {label: system_to_dict(c) for label, c in configs.items()}
     run_tel: RunTelemetry | None = None
     run_id: str | None = None
     if telemetry or status is not None:
@@ -458,6 +489,11 @@ def run_sweep(
     tasks: list[dict[str, Any]] = []
     # index -> (cache key, payload) of each point to cache once computed.
     to_store: dict[int, tuple[str, dict[str, Any]]] = {}
+    # Points to compute that price the same phase share one run: the
+    # first of them (the representative) is attempted, and the others
+    # take its result under their own labels.
+    representatives: dict[Hashable, int] = {}
+    sharers: dict[int, list[int]] = {}
     cached = 0
     for index, point in enumerate(points):
         if results[index] is not None:
@@ -478,6 +514,12 @@ def run_sweep(
                 log.debug("cache hit", point=index)
                 continue
             to_store[index] = (key, payload)
+        phase = _phase_key(configs[point.config_label], point, max_requests)
+        if phase is not None:
+            first = representatives.setdefault(phase, index)
+            if first != index:
+                sharers.setdefault(first, []).append(index)
+                continue
         task = {"index": index, **payload}
         # Attached AFTER key_for(payload): the engine choice (like the
         # trace context below) must never influence cache identity --
@@ -494,6 +536,7 @@ def run_sweep(
     retries_total = 0
     replaced: Counter[str] = Counter()
     simulated = 0
+    shared = sum(len(members) for members in sharers.values())
     outcomes_by_index: dict[int, dict[str, Any]] = {}
 
     if tasks:
@@ -529,42 +572,59 @@ def run_sweep(
                     run_tel.record_attempts(index, entry["attempts"])
                 if ok:
                     outcome = entry["outcome"]
-                    result = _shared_strings(outcome["result"])
-                    results[index] = result
-                    completed[index] = result
                     outcomes_by_index[index] = outcome
-                    simulated += 1
                     worker_id: int | None = None
                     if run_tel is not None and "telemetry" in outcome:
                         record = run_tel.merge_worker(outcome["telemetry"])
                         worker_id = record["worker_id"]
                     if status is not None:
-                        attempts = entry["attempts"]
                         status.mark_ok(
                             index,
                             worker_id=worker_id,
                             metrics=outcome["metrics"],
-                            duration_s=(
-                                attempts[-1]["duration_s"] if attempts else None
-                            ),
+                            duration_s=entry["attempts"][-1]["duration_s"],
                         )
-                    if cache is not None:
-                        cache.put(*to_store[index], result)
-                else:
-                    failure = entry["failure"]
-                    failures.append(failure)
-                    if status is not None:
-                        status.mark_failed(index, reason=failure["reason"])
-                    log.warning(
-                        "point quarantined",
-                        point=index,
-                        error=failure["error"],
-                        reason=failure["reason"],
-                        attempts=failure["attempts"],
-                    )
                 if status is not None and entry["retries"]:
                     status.mark_retry(index, entry["retries"])
-                since_snapshot += 1
+                members = sharers.get(index, [])
+                for member in members:
+                    if run_tel is not None:
+                        run_tel.mark_shared(member, index)
+                    log.debug("point shared", point=member, representative=index)
+                # The representative and its sharers settle alike, each
+                # under its own labels, cache entry and failure record.
+                for member in (index, *members):
+                    point = points[member]
+                    if ok:
+                        result = _shared_strings(
+                            dict(
+                                outcome["result"],
+                                layout=point.layout,
+                                config=point.config_label,
+                            )
+                        )
+                        results[member] = result
+                        completed[member] = result
+                        simulated += 1
+                        if status is not None and member != index:
+                            status.mark_ok(member)
+                        if cache is not None:
+                            cache.put(*to_store[member], result)
+                    else:
+                        failure = dict(
+                            entry["failure"], index=member, point=point.as_dict()
+                        )
+                        failures.append(failure)
+                        if status is not None:
+                            status.mark_failed(member, reason=failure["reason"])
+                        log.warning(
+                            "point quarantined",
+                            point=member,
+                            error=failure["error"],
+                            reason=failure["reason"],
+                            attempts=failure["attempts"],
+                        )
+                    since_snapshot += 1
                 if ckpt is not None and since_snapshot >= checkpoint_every:
                     ckpt.save(
                         completed,
@@ -582,7 +642,7 @@ def run_sweep(
         cached
     )
     registry.counter("sweep.cache.misses", help="points simulated fresh").inc(
-        len(tasks)
+        len(tasks) + shared
     )
     if retries_total:
         registry.counter("sweep.retries", help="extra attempts across points").inc(
@@ -606,6 +666,7 @@ def run_sweep(
     meta = {
         "jobs": jobs,
         "simulated": simulated,
+        "shared": shared,
         "cached": cached,
         "resumed": resumed,
         "failed": len(failures),
@@ -620,6 +681,7 @@ def run_sweep(
     log.info(
         "sweep finished",
         simulated=simulated,
+        shared=shared,
         cached=cached,
         failed=len(failures),
         retries=retries_total,

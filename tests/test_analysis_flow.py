@@ -26,6 +26,34 @@ from repro.analysis.core import load_context
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ADMISSION_PY = REPO_ROOT / "src" / "repro" / "serve" / "admission.py"
 
+#: The project rules the shipped-tree cases check.
+SHIPPED_RULES = ("CONC002", "CONC003", "SCHEMA001")
+
+
+@pytest.fixture(scope="module")
+def real_tree_model() -> ProjectModel:
+    """The project model of ``src/repro``, built once for this module."""
+    contexts = [
+        ctx
+        for path in iter_python_files([REPO_ROOT / "src" / "repro"])
+        if (ctx := load_context(path, REPO_ROOT)) is not None
+    ]
+    return build_project_model(contexts)
+
+
+@pytest.fixture(scope="module")
+def real_tree_lint() -> dict[str, list[Diagnostic]]:
+    """Each of :data:`SHIPPED_RULES`' diagnostics over ``src/repro``, from one lint."""
+    report = run_lint(
+        [REPO_ROOT / "src" / "repro"],
+        rule_ids=list(SHIPPED_RULES),
+        root=REPO_ROOT,
+    )
+    return {
+        rule_id: [d for d in report.diagnostics if d.rule_id == rule_id]
+        for rule_id in SHIPPED_RULES
+    }
+
 
 def lint_tree(
     tmp_path: Path, files: dict[str, str], rule_id: str
@@ -52,13 +80,8 @@ class TestProjectModel:
             "tools.lint_changed"
         )
 
-    def test_model_over_real_tree(self):
-        contexts = [
-            ctx
-            for path in iter_python_files([REPO_ROOT / "src" / "repro"])
-            if (ctx := load_context(path, REPO_ROOT)) is not None
-        ]
-        model = build_project_model(contexts)
+    def test_model_over_real_tree(self, real_tree_model):
+        model = real_tree_model
         admission = model.modules["repro.serve.admission"]
         controller = admission.classes["AdmissionController"]
         assert "_lock" in controller.lock_attrs
@@ -363,13 +386,8 @@ class TestCONC002:
         """
         assert lint_tree(tmp_path, {"svc.py": source}, "CONC002") == []
 
-    def test_shipped_serve_service_is_clean(self):
-        report = run_lint(
-            [REPO_ROOT / "src" / "repro"],
-            rule_ids=["CONC002"],
-            root=REPO_ROOT,
-        )
-        assert report.diagnostics == []
+    def test_shipped_serve_service_is_clean(self, real_tree_lint):
+        assert real_tree_lint["CONC002"] == []
 
 
 # ------------------------------------------------------------------- CONC003
@@ -502,19 +520,14 @@ class TestCONC003:
         """
         assert lint_tree(tmp_path, {"forky.py": source}, "CONC003") == []
 
-    def test_shipped_tree_carries_one_justified_suppression(self):
+    def test_shipped_tree_carries_one_justified_suppression(self, real_tree_lint):
         suppressed = {}
         for path in iter_python_files([REPO_ROOT / "src" / "repro"]):
             count = path.read_text(encoding="utf-8").count("repro: ignore[CONC003]")
             if count:
                 suppressed[path.relative_to(REPO_ROOT).as_posix()] = count
         assert suppressed == {"src/repro/sweep/runner.py": 1}
-        report = run_lint(
-            [REPO_ROOT / "src" / "repro"],
-            rule_ids=["CONC003"],
-            root=REPO_ROOT,
-        )
-        assert report.diagnostics == []
+        assert real_tree_lint["CONC003"] == []
 
 
 # ----------------------------------------------------------------- SCHEMA001
@@ -594,13 +607,8 @@ class TestSCHEMA001:
         """
         assert lint_tree(tmp_path, {"wire.py": source}, "SCHEMA001") == []
 
-    def test_shipped_declarations_cover_the_four_envelopes(self):
-        contexts = [
-            ctx
-            for path in iter_python_files([REPO_ROOT / "src" / "repro"])
-            if (ctx := load_context(path, REPO_ROOT)) is not None
-        ]
-        declared = build_project_model(contexts).declared_schema_keys()
+    def test_shipped_declarations_cover_the_four_envelopes(self, real_tree_model):
+        declared = real_tree_model.declared_schema_keys()
         assert {
             "repro-serve-response/v1",
             "repro-status/v1",
@@ -608,13 +616,8 @@ class TestSCHEMA001:
             "repro-lint/v1",
         } <= set(declared)
 
-    def test_shipped_producers_match_declarations(self):
-        report = run_lint(
-            [REPO_ROOT / "src" / "repro"],
-            rule_ids=["SCHEMA001"],
-            root=REPO_ROOT,
-        )
-        assert report.diagnostics == []
+    def test_shipped_producers_match_declarations(self, real_tree_lint):
+        assert real_tree_lint["SCHEMA001"] == []
 
 
 # ----------------------------------------------------------- mutation check

@@ -159,35 +159,40 @@ def work(monkeypatch: pytest.MonkeyPatch) -> Iterator[Work]:
     reset_logging()
 
 
-#: Cold vector sweep of GRID with a cache and telemetry: 14 points on
-#: the vector engine, 264 relaxation passes, steady-state pricing shifts
-#: 499,712 of the 540,672 requests; one debug record per point plus
-#: "sweep started" and "sweep finished".
+#: Cold vector sweep of GRID with a cache and telemetry: 14 points, of
+#: which 4 share a phase already priced (per size, ``tiled-1x32`` is
+#: ``row-major`` and ``block-ddl-w1h32`` is ``ddl`` h=32), so 10 runs
+#: on the vector engine, 144 relaxation passes, steady-state pricing
+#: shifts 364,544 of the 397,312 requests; every point still reads and
+#: writes its own cache entry.  One debug record per run ("point
+#: simulated") and per sharer ("point shared"), plus "sweep started"
+#: and "sweep finished".
 VECTOR_SWEEP = {
-    "trace.column_walk_trace": 6,
-    "trace.block_column_read_trace": 8,
-    "trace.requests": 540_672,
-    "simulate.vector": 14,
-    "simulate.requests": 540_672,
-    "price_arrays": 14,
-    "relax": 264,
-    "steady.blocks": 68,
-    "steady.shifted": 499_712,
+    "trace.column_walk_trace": 4,
+    "trace.block_column_read_trace": 6,
+    "trace.requests": 397_312,
+    "simulate.vector": 10,
+    "simulate.requests": 397_312,
+    "price_arrays": 10,
+    "relax": 144,
+    "steady.blocks": 40,
+    "steady.shifted": 364_544,
     "cache.get": 14,
     "cache.put": 14,
     "log.records": 16,
 }
 
-#: REFRESH_GRID: the same traces, every point falls back to the exact
-#: loop, which prices each request; no cache, no per-point records.
+#: REFRESH_GRID: the same 10 distinct phases, every run falls back to
+#: the exact loop, which prices each request; no cache and no worker
+#: records, one "point shared" record per sharer.
 REFRESH_SWEEP = {
-    "trace.column_walk_trace": 6,
-    "trace.block_column_read_trace": 8,
-    "trace.requests": 540_672,
-    "simulate.exact": 14,
-    "simulate.requests": 540_672,
-    "fallbacks": 14,
-    "log.records": 2,
+    "trace.column_walk_trace": 4,
+    "trace.block_column_read_trace": 6,
+    "trace.requests": 397_312,
+    "simulate.exact": 10,
+    "simulate.requests": 397_312,
+    "fallbacks": 10,
+    "log.records": 6,
 }
 
 #: A cold SPEC request: one attempt and one cache write per point, the
