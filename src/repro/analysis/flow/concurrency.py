@@ -2,8 +2,8 @@
 
 These are the project-scoped complements of the runtime discipline the
 serve and obs layers rely on: the HTTP/monitor threads share mutable
-state behind per-instance locks, the asyncio loop must never run a
-blocking primitive on its own thread, and any process started from
+state behind per-instance locks, a coroutine must never run a blocking
+primitive on its event loop's thread, and any process started from
 code where thread pools are already alive must not fork it.  All three
 rules walk the :class:`~repro.analysis.flow.model.ProjectModel` built
 by :func:`repro.analysis.core.run_lint`'s project pass.
@@ -102,12 +102,12 @@ class AsyncBlockingRule(ProjectRule):
     id = "CONC002"
     title = "async coroutines must not call blocking primitives"
     rationale = (
-        "repro.serve runs one asyncio loop on a dedicated thread; a "
+        "an event loop runs its coroutines on one thread; a "
         "time.sleep, subprocess wait, un-timed Lock.acquire or direct "
-        "file read inside a coroutine stalls every in-flight request at "
-        "once.  Blocking work belongs in loop.run_in_executor -- the "
-        "rule follows sync helper calls transitively, so hiding the "
-        "sleep one call deep does not help."
+        "file read inside a coroutine stalls every coroutine on that "
+        "loop at once.  Blocking work belongs in loop.run_in_executor "
+        "-- the rule follows sync helper calls transitively, so hiding "
+        "the sleep one call deep does not help."
     )
 
     def check_project(self, model: ProjectModel) -> Iterator[Diagnostic]:

@@ -472,7 +472,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # but only the explicit flags trigger the trace/metrics files.
             telemetry=telemetry_requested or monitor is not None,
             status=status,
-            engine=args.engine,
         )
         _print_sweep(args, result, telemetry_requested)
         if monitor is not None:
@@ -548,7 +547,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             threshold=args.breaker_threshold,
             reset_s=args.breaker_reset,
         ),
-        engine=args.engine,
         tracer=None if args.no_trace else RequestTracer(),
         recorder=FlightRecorder(out_dir=args.flight_dir),
     )
@@ -903,14 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pw.add_argument("--max-requests", type=int, default=65_536)
     pw.add_argument(
-        "--engine",
-        choices=["exact", "vector"],
-        default="vector",
-        help="timing engine for workers: 'vector' (batch array pricer, "
-             "default) or 'exact' (per-request reference loop); both "
-             "produce byte-identical result documents",
-    )
-    pw.add_argument(
         "--out", type=str, default=None,
         help="write the deterministic result JSON here",
     )
@@ -1045,12 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         help="cool-down in seconds before the open breaker probes a "
              "worker again (half-open recovery)",
-    )
-    pz.add_argument(
-        "--engine",
-        choices=["exact", "vector"],
-        default="vector",
-        help="timing engine for workers (never affects results)",
     )
     pz.add_argument(
         "--cache-dir",

@@ -13,10 +13,12 @@ offline path already trusts:
   ``/readyz`` reports 503;
 * :mod:`repro.serve.schemas` -- request/response envelopes around
   result documents byte-identical to ``repro sweep`` output;
-* :mod:`repro.serve.service` -- the asyncio core: per-request
-  deadlines with worker cancellation, in-flight coalescing through the
-  sweep cache's content addresses, retries under the sweep
-  :class:`~repro.sweep.resilience.RetryPolicy`, graceful drain;
+* :mod:`repro.serve.service` -- the core, on plain threads: the
+  calling thread admits, reads the cache and waits on one future per
+  missing column phase; per-request deadlines with worker
+  cancellation, in-flight coalescing of identical phases, retries under
+  the sweep :class:`~repro.sweep.resilience.RetryPolicy`, graceful
+  drain;
 * :mod:`repro.serve.app` -- the stdlib HTTP transport (``POST /plan``,
   ``/healthz`` and ``/readyz`` on top of the shared ``/status``
   ``/metrics`` ``/logs`` ``/debug/bundle`` route set).

@@ -1,11 +1,12 @@
-"""The layout-planning service core: asyncio over the sweep machinery.
+"""The layout-planning service core: plain threads over the sweep machinery.
 
 :class:`PlanService` is the transport-independent heart of ``repro
-serve``.  It owns an asyncio event loop on a dedicated thread and a
-thread pool whose threads run attempts on the sweep stack's warm,
-killable worker processes (:func:`repro.sweep.resilience.run_attempt`),
-so every robustness property composes from pieces the offline path
-already trusts:
+serve``.  The calling (HTTP) thread admits a request, reads the cache
+and checks the breaker itself; each point it still needs is one
+:class:`concurrent.futures.Future` on a thread pool whose threads run
+attempts on the sweep stack's warm, killable worker processes
+(:func:`repro.sweep.resilience.run_attempt`), so every robustness
+property composes from pieces the offline path already trusts:
 
 * **Admission** -- :class:`~repro.serve.admission.AdmissionController`
   bounds in-flight requests; excess load is shed *before* any work is
@@ -13,15 +14,17 @@ already trusts:
 * **Coalescing** -- identical in-flight points share one computation,
   keyed by the *same* content address the sweep's
   :class:`~repro.sweep.cache.ResultCache` uses, so the service and
-  ``repro sweep`` interoperate through a shared on-disk cache.
-* **Deadlines** -- each request's budget is enforced with
-  ``asyncio.wait_for``; cancellation propagates through a
-  ``threading.Event`` into :func:`run_attempt`, which kills the
-  abandoned worker process (the pool replaces it).
+  ``repro sweep`` interoperate through a shared on-disk cache.  Within
+  a request, points that price one column phase
+  (:func:`~repro.sweep.runner.point_phase_key`) share one computation
+  too, as in a sweep.
+* **Deadlines** -- each request waits on its futures for at most its
+  budget (:func:`concurrent.futures.wait`); the last waiter to leave a
+  computation sets its ``threading.Event``, and :func:`run_attempt`
+  kills the abandoned worker process (the pool replaces it).
 * **Retries** -- transient worker failures replay through the sweep's
-  own retry loop, :func:`~repro.sweep.resilience.attempt_point`, under a
-  :class:`~repro.sweep.resilience.RetryPolicy` (deterministic backoff),
-  so an exhausted point fails with the sweep's quarantine wording.
+  retry loop, :func:`~repro.sweep.resilience.attempt_point`, so an
+  exhausted point fails with the sweep's quarantine wording.
 * **Circuit breaking** -- consecutive worker failures trip the
   :class:`~repro.serve.breaker.CircuitBreaker`; while OPEN the service
   answers from cache only (``"degraded": true`` envelopes, ``/readyz``
@@ -37,13 +40,12 @@ assembles the same :class:`~repro.sweep.results.SweepResult`.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
+from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 from concurrent.futures import CancelledError as FutureCancelled
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -68,7 +70,7 @@ from repro.obs.telemetry import (
     fold_worker,
 )
 from repro.obs.tracectx import RequestTracer, TraceContext, parse_traceparent
-from repro.serialization import system_to_dict
+from repro.serialization import system_to_dict, system_with_overrides
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import CLOSED, OPEN, STATE_VALUES, CircuitBreaker
 from repro.serve.schemas import (
@@ -80,6 +82,7 @@ from repro.serve.schemas import (
     response_envelope,
 )
 from repro.sweep.cache import ResultCache
+from repro.sweep.grid import SweepPoint
 from repro.sweep.resilience import (
     WORKER_REPLACEMENTS,
     QuarantineReason,
@@ -89,6 +92,7 @@ from repro.sweep.resilience import (
     replaced_workers,
     run_attempt,
 )
+from repro.sweep.runner import point_phase_key
 
 #: Default bound on concurrently admitted requests.
 DEFAULT_QUEUE_LIMIT = 16
@@ -159,10 +163,13 @@ class _PointFailure(ServeError):
 
 @dataclass(eq=False)
 class _SharedPoint:
-    """One in-flight point computation, shared by coalesced waiters."""
+    """One in-flight column-phase computation, shared by coalesced waiters."""
 
+    #: The phase's :func:`~repro.sweep.runner.point_phase_key` (its
+    #: ``_inflight`` key) and the cache key of the point computed for it.
+    phase: Hashable
     key: str
-    task: "asyncio.Task[dict[str, Any] | None]"
+    future: "Future[dict[str, Any] | None]"
     cancel_event: threading.Event
     #: Trace of the request that started the computation; coalesced
     #: joiners link their traces to it.
@@ -170,19 +177,15 @@ class _SharedPoint:
     waiters: int = 0
 
 
-def _consume_exception(task: "asyncio.Task[Any]") -> None:
-    """Done-callback: retrieve an abandoned task's exception quietly."""
-    if not task.cancelled():
-        task.exception()
-
-
 class PlanService:
     """The serving core: admission, coalescing, deadlines, degradation.
 
     Thread model: HTTP handler threads call :meth:`handle`, which does
-    admission accounting and blocks on a coroutine scheduled onto the
-    service's private event loop; the loop fans point computations out
-    to a thread pool whose threads drive killable pool workers.
+    admission, the cache lookup and the breaker check on the calling
+    thread, then waits on one future per missing column phase.  Each
+    future runs on a thread pool of ``jobs`` threads that drive killable
+    pool workers, so a point makes one hop: calling thread -> pool
+    thread -> worker process.
 
     Args:
         config: base system configuration requests override.
@@ -195,7 +198,6 @@ class PlanService:
         drain_s: default drain budget on graceful shutdown.
         breaker: circuit breaker (injectable clock for tests).
         chaos: worker fault injection (tests; point index is always 0).
-        engine: timing engine for workers (never affects results).
         tracer: span collector for end-to-end request traces; ``None``
             disables span retention (every response still carries a
             deterministic trace_id -- result bytes are identical either
@@ -216,7 +218,6 @@ class PlanService:
         drain_s: float = DEFAULT_DRAIN_S,
         breaker: CircuitBreaker | None = None,
         chaos: WorkerChaos | None = None,
-        engine: str = "vector",
         tracer: RequestTracer | None = None,
         recorder: FlightRecorder | None = None,
     ) -> None:
@@ -235,16 +236,15 @@ class PlanService:
         self.admission = AdmissionController(queue_limit)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.chaos = chaos
-        self.engine = engine
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._loop_thread: threading.Thread | None = None
         self._pool: ThreadPoolExecutor | None = None
-        #: cache key -> in-flight shared computation (loop-confined).
-        self._inflight: dict[str, _SharedPoint] = {}
+        #: column phase -> its in-flight shared computation.
+        self._inflight: dict[Hashable, _SharedPoint] = {}
+        #: Shares that have left ``_inflight`` so far (see :meth:`_acquire`).
+        self._settled = 0
         self._seq = itertools.count(1)
         #: Counters, latency histograms (end-to-end, queue-wait, attempt,
         #: engine phase) and failure reasons; its lock also guards
-        #: ``_active``.
+        #: ``_active``, ``_inflight`` and ``_settled``.
         self.live = LiveStatus(
             self._status_document, counters=_COUNTERS, scraped=_SCRAPED
         )
@@ -317,21 +317,14 @@ class PlanService:
 
     # -------------------------------------------------------------- lifecycle
     def start(self) -> "PlanService":
-        """Spin up the event loop thread and worker pool (idempotent)."""
-        if self._loop is not None:
+        """Start the thread pool that drives point computations (idempotent)."""
+        if self._pool is not None:
             return self
-        self._loop = asyncio.new_event_loop()
         self._pool = ThreadPoolExecutor(
             max_workers=self.jobs, thread_name_prefix="repro-serve-worker"
         )
-        self._loop_thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-serve-loop", daemon=True
-        )
-        self._loop_thread.start()
         get_logger("repro.serve").info(
-            "service started",
-            jobs=self.jobs,
-            queue_limit=self.admission.limit,
+            "service started", jobs=self.jobs, queue_limit=self.admission.limit
         )
         return self
 
@@ -362,7 +355,7 @@ class PlanService:
         return True
 
     def close(self) -> None:
-        """Tear down: cancel leftovers, stop the loop, join the pool.
+        """Tear down: cancel leftovers and join the pool threads.
 
         Idempotent.  Callers wanting a graceful exit run :meth:`drain`
         first; anything still in flight here is cancelled (its waiters
@@ -370,25 +363,17 @@ class PlanService:
         """
         if self._closed:
             return
-        self._closed = True
-        loop = self._loop
-        if loop is not None:
-
-            def _cancel_inflight() -> None:
-                for shared in list(self._inflight.values()):
-                    shared.cancel_event.set()
-                    shared.task.cancel()
-
-            loop.call_soon_threadsafe(_cancel_inflight)
-            # Give cancellations one beat to propagate, then stop.
-            loop.call_soon_threadsafe(loop.stop)
-            if self._loop_thread is not None:
-                self._loop_thread.join(timeout=5.0)
-                self._loop_thread = None
-            loop.close()
-            self._loop = None
+        with self.live.lock:
+            self._closed = True
+            abandoned = list(self._inflight.values())
+            self._inflight.clear()
+        for shared in abandoned:
+            shared.cancel_event.set()
+            shared.future.cancel()
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            # Running computations see their cancel event within one
+            # poll of the worker pipe and return.
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
         get_logger("repro.serve").info("service closed")
 
@@ -400,9 +385,10 @@ class PlanService:
 
     # ------------------------------------------------------------- public API
     def ready(self) -> bool:
-        """``/readyz`` truth: admitting requests and breaker closed."""
+        """``/readyz`` truth: started, admitting and breaker closed."""
         return (
-            not self._closed
+            self._pool is not None
+            and not self._closed
             and not self.admission.draining
             and self.breaker.state == CLOSED
         )
@@ -436,7 +422,7 @@ class PlanService:
         W3C header, when the caller sent one) makes the request a child
         of the caller's trace.
         """
-        if self._loop is None or self._closed:
+        if self._pool is None or self._closed:
             raise ServeError("service is not running (call start())")
         try:
             request = parse_plan_request(data)
@@ -473,27 +459,21 @@ class PlanService:
                 "points": len(payloads),
                 "started_s": admitted_s,
             }
+            settled = self._settled
         code = 0
         try:
-            future = asyncio.run_coroutine_threadsafe(
-                self._handle(request, request_id, payloads, ctx, admitted_s),
-                self._loop,
+            code, payload, headers, disposition = self._answer(
+                request, request_id, payloads, ctx, admitted_s, settled
             )
-            code, payload, headers, disposition = future.result()
             return code, payload, {**headers, **trace_headers}
-        except (FutureCancelled, asyncio.CancelledError):
+        except FutureCancelled:
             code = 503
-            return (
-                503,
-                error_envelope(
-                    "shutdown",
-                    "service shut down before the request completed",
-                    request_id=request_id,
-                    reason=QuarantineReason.CANCELLED.value,
-                    trace_id=ctx.trace_id,
-                ),
-                trace_headers,
+            envelope = error_envelope(
+                "shutdown", "service shut down before the request completed",
+                request_id=request_id, reason=QuarantineReason.CANCELLED.value,
+                trace_id=ctx.trace_id,
             )
+            return 503, envelope, trace_headers
         finally:
             duration_s = time.perf_counter() - admitted_s
             with self.live.lock:
@@ -508,12 +488,8 @@ class PlanService:
                 )
             if self.tracer is not None:
                 self.tracer.record(
-                    ctx,
-                    "request",
-                    start_s=admitted_s,
-                    duration_s=duration_s,
-                    request_id=request_id,
-                    code=code,
+                    ctx, "request", start_s=admitted_s, duration_s=duration_s,
+                    request_id=request_id, code=code,
                 )
             if disposition == "completed":
                 self.admission.complete()
@@ -521,26 +497,29 @@ class PlanService:
                 self.admission.cancel()
 
     # ------------------------------------------------------------ request core
-    async def _handle(
+    def _answer(
         self,
         request: PlanRequest,
         request_id: str,
         payloads: list[tuple[str, dict[str, Any]]],
         ctx: TraceContext,
         admitted_s: float,
+        settled: int,
     ) -> tuple[int, dict[str, Any], dict[str, str], str]:
-        """One admitted request on the loop: cache, breaker, compute."""
-        log = get_logger(
-            "repro.serve", request_id=request_id, trace_id=ctx.trace_id
-        )
-        queue_wait_s = max(0.0, time.perf_counter() - admitted_s)
-        self.live.observe(
-            "serve.queue_wait_s",
-            queue_wait_s,
-            QUEUE_WAIT_BOUNDS,
-            exemplar=ctx.trace_id,
-            help="admission-to-loop-pickup wait (seconds)",
-        )
+        """One admitted request on the calling thread: cache, breaker,
+        compute.  Raises :class:`~concurrent.futures.CancelledError`
+        when the service closes under it."""
+        log = get_logger("repro.serve", request_id=request_id, trace_id=ctx.trace_id)
+
+        def refuse(
+            code: int, error: str, message: str, reason: str | None, **headers: str
+        ) -> tuple[int, dict[str, Any], dict[str, str], str]:
+            envelope = error_envelope(
+                error, message, request_id=request_id, reason=reason,
+                trace_id=ctx.trace_id,
+            )
+            return code, envelope, headers, "cancelled" if code == 504 else "completed"
+
         deadline_s = request.deadline_s or self.default_deadline_s
         results: dict[int, dict[str, Any]] = {}
         missing: list[tuple[int, str, dict[str, Any]]] = []
@@ -554,12 +533,8 @@ class PlanService:
         if cached:
             self.live.count("serve.cache_hits", cached)
         log.info(
-            "request admitted",
-            event="REQUEST_START",
-            n=request.n,
-            points=len(payloads),
-            cached=cached,
-            deadline_s=deadline_s,
+            "request admitted", event="REQUEST_START", n=request.n,
+            points=len(payloads), cached=cached, deadline_s=deadline_s,
         )
 
         degraded = False
@@ -567,87 +542,86 @@ class PlanService:
         if missing:
             if not self.breaker.allow():
                 self.live.count("serve.degraded_refusals")
-                retry_after = max(1, int(self.breaker.retry_after_s()) or 1)
                 log.warning(
-                    "degraded refusal",
-                    missing=len(missing),
-                    breaker=self.breaker.state,
+                    "degraded refusal", missing=len(missing), breaker=self.breaker.state
                 )
-                return (
+                return refuse(
                     503,
-                    error_envelope(
-                        "degraded",
-                        "worker pool unavailable (circuit open) and "
-                        f"{len(missing)} point(s) not cached",
-                        request_id=request_id,
-                        reason=self._last_failure_reason(),
-                        trace_id=ctx.trace_id,
-                    ),
-                    {"Retry-After": str(retry_after)},
-                    "completed",
+                    "degraded",
+                    "worker pool unavailable (circuit open) and "
+                    f"{len(missing)} point(s) not cached",
+                    self._last_failure_reason(),
+                    **{"Retry-After": str(max(1, int(self.breaker.retry_after_s())))},
                 )
-            shares = [self._acquire(key, payload, ctx) for _, key, payload in missing]
-            coalesced = sum(1 for share in shares if share.waiters > 1)
-            if coalesced:
-                self.live.count("serve.coalesced", coalesced)
-            for share in shares:
-                if share.waiters > 1 and share.trace_id != ctx.trace_id:
-                    if self.tracer is not None:
-                        self.tracer.link(ctx, share.trace_id, "coalesced")
-                    log.info(
-                        "coalesce link",
-                        event="COALESCE_LINK",
-                        linked_trace_id=share.trace_id,
-                        key=share.key[:12],
-                    )
+            phases = self._phases(request, missing)
+            # The first computation this request starts is the first a
+            # pool thread picks up (FIFO): it observes the queue wait.
+            first_start: float | None = admitted_s
+            shares: list[_SharedPoint] = []
             try:
-                computed = await asyncio.wait_for(
-                    asyncio.gather(
-                        *(self._await_share(share) for share in shares)
-                    ),
+                for phase, members in phases.items():
+                    shared, joined = self._acquire(
+                        phase, members, ctx, settled, first_start
+                    )
+                    shares.append(shared)
+                    if not joined:
+                        first_start = None
+                        continue
+                    coalesced += len(members)
+                    if shared.trace_id != ctx.trace_id:
+                        if self.tracer is not None:
+                            self.tracer.link(ctx, shared.trace_id, "coalesced")
+                        log.info(
+                            "coalesce link",
+                            event="COALESCE_LINK",
+                            linked_trace_id=shared.trace_id,
+                            key=shared.key[:12],
+                        )
+                if coalesced:
+                    self.live.count("serve.coalesced", coalesced)
+                done, late = wait(
+                    [shared.future for shared in shares],
                     timeout=deadline_s,
+                    return_when=FIRST_EXCEPTION,
                 )
-            except (asyncio.TimeoutError, asyncio.CancelledError) as exc:
-                self.live.count("serve.deadline_misses")
-                log.warning("deadline missed", deadline_s=deadline_s)
-                if isinstance(exc, asyncio.CancelledError) and self._closed:
-                    raise
-                return (
-                    504,
-                    error_envelope(
+                raised = [f.exception() for f in done if not f.cancelled()]
+                exc = next((error for error in raised if error is not None), None)
+                if isinstance(exc, _PointFailure):
+                    self.live.count("serve.compute_failures")
+                    log.error("compute failed", error=exc.error, reason=exc.reason)
+                    self.dump_flight("quarantine", trace_id=ctx.trace_id)
+                    return refuse(500, exc.error, exc.detail, exc.reason)
+                if exc is not None:
+                    raise exc
+                if late or any(f.cancelled() or f.result() is None for f in done):
+                    # Past the deadline, or cancelled under us: only
+                    # close() cancels a computation that has waiters.
+                    self.live.count("serve.deadline_misses")
+                    log.warning("deadline missed", deadline_s=deadline_s)
+                    if self._closed:
+                        raise FutureCancelled()
+                    return refuse(
+                        504,
                         "deadline-exceeded",
                         f"request exceeded its {deadline_s}s deadline; "
                         "abandoned work was cancelled",
-                        request_id=request_id,
-                        reason=QuarantineReason.TIMEOUT.value,
-                        trace_id=ctx.trace_id,
-                    ),
-                    {},
-                    "cancelled",
-                )
-            except _PointFailure as exc:
-                self.live.count("serve.compute_failures")
-                log.error(
-                    "compute failed", error=exc.error, reason=exc.reason
-                )
-                self.dump_flight("quarantine", trace_id=ctx.trace_id)
-                return (
-                    500,
-                    error_envelope(
-                        exc.error,
-                        exc.detail,
-                        request_id=request_id,
-                        reason=exc.reason,
-                        trace_id=ctx.trace_id,
-                    ),
-                    {},
-                    "completed",
-                )
+                        QuarantineReason.TIMEOUT.value,
+                    )
+                # Every member of a phase takes the computed result under
+                # its own labels and keeps its own cache entry, before the
+                # share is released (see _acquire).
+                for shared, members in zip(shares, phases.values()):
+                    result = shared.future.result()
+                    for index, key, payload in members:
+                        point = payload["point"]
+                        results[index] = own = dict(
+                            result, layout=point["layout"], config=point["config_label"]
+                        )
+                        if self.cache is not None and key != shared.key:
+                            self.cache.put(key, payload, own)
             finally:
-                for share in shares:
-                    self._release(share)
-            for (index, _, _), result in zip(missing, computed):
-                results[index] = result
+                for shared in shares:
+                    self._release(shared)
             self.live.count("serve.computed_points", len(missing))
         elif self.breaker.state != CLOSED:
             # Every point answered from cache while the pool is sick:
@@ -657,76 +631,87 @@ class PlanService:
 
         ordered = [results[index] for index in range(len(payloads))]
         envelope = response_envelope(
-            request,
-            request_id,
-            ordered,
-            cached=cached,
-            computed=len(missing),
-            coalesced=coalesced,
-            degraded=degraded,
-            trace_id=ctx.trace_id,
+            request, request_id, ordered, cached=cached, computed=len(missing),
+            coalesced=coalesced, degraded=degraded, trace_id=ctx.trace_id,
         )
         log.info(
-            "request served",
-            best_layout=envelope["best"]["layout"],
-            cached=cached,
-            computed=len(missing),
-            degraded=degraded,
+            "request served", best_layout=envelope["best"]["layout"],
+            cached=cached, computed=len(missing), degraded=degraded,
         )
         return 200, envelope, {}, "completed"
 
+    def _phases(
+        self, request: PlanRequest, missing: list[tuple[int, str, dict[str, Any]]]
+    ) -> dict[Hashable, list[tuple[int, str, dict[str, Any]]]]:
+        """``missing`` grouped by column phase, in request order.  A point
+        whose layout does not resolve is its own group, keyed by its
+        cache key."""
+        config = system_with_overrides(self.config, dict(request.overrides))
+        phases: dict[Hashable, list[tuple[int, str, dict[str, Any]]]] = {}
+        for entry in missing:
+            point = SweepPoint(**entry[2]["point"])
+            phase = point_phase_key(config, point, request.max_requests)
+            phases.setdefault(entry[1] if phase is None else phase, []).append(entry)
+        return phases
+
     # ------------------------------------------------------------- coalescing
     def _acquire(
-        self, key: str, payload: dict[str, Any], ctx: TraceContext
-    ) -> _SharedPoint:
-        """Join (or start) the in-flight computation for ``key``."""
-        assert self._loop is not None
-        shared = self._inflight.get(key)
-        if shared is None:
-            cancel_event = threading.Event()
-            task = self._loop.create_task(
-                self._run_point(
-                    key, payload, cancel_event, ctx.child(f"point:{key[:12]}")
+        self,
+        phase: Hashable,
+        members: list[tuple[int, str, dict[str, Any]]],
+        ctx: TraceContext,
+        settled: int,
+        admitted_s: float | None,
+    ) -> tuple[_SharedPoint, bool]:
+        """Join (or start) the in-flight computation of ``phase``; the
+        flag is ``True`` for a join.  A started one computes the first
+        member and, given ``admitted_s``, observes the request's queue
+        wait.
+
+        A share leaves ``_inflight`` only when its last waiter releases
+        it, after writing its members' cache entries, and ``settled``
+        is :attr:`_settled` as read before the request's cache lookup.
+        If a share has left since, the entries the lookup missed may be
+        cached now, so they are read again before anything starts; a
+        hit counts as a join.
+        """
+        with self.live.lock:
+            if self._closed or self._pool is None:
+                raise FutureCancelled()
+            shared = self._inflight.get(phase)
+            if shared is None and settled != self._settled and self.cache is not None:
+                for _, key, _ in members:
+                    hit = self.cache.get(key)
+                    if hit is not None:
+                        done: Future[dict[str, Any] | None] = Future()
+                        done.set_result(hit)
+                        event = threading.Event()
+                        return _SharedPoint(phase, key, done, event, ctx.trace_id), True
+            if shared is None:
+                _, key, payload = members[0]
+                cancel_event = threading.Event()
+                future = self._pool.submit(
+                    self._compute_point, key, payload, cancel_event,
+                    ctx.child(f"point:{key[:12]}"), admitted_s,
                 )
-            )
-            task.add_done_callback(_consume_exception)
-            shared = _SharedPoint(key, task, cancel_event, ctx.trace_id)
-            self._inflight[key] = shared
-        shared.waiters += 1
-        return shared
+                shared = _SharedPoint(phase, key, future, cancel_event, ctx.trace_id)
+                self._inflight[phase] = shared
+            shared.waiters += 1
+            return shared, shared.waiters > 1
 
     def _release(self, shared: _SharedPoint) -> None:
-        """Drop one waiter; the last one cancels abandoned work."""
-        shared.waiters -= 1
-        if shared.waiters <= 0 and not shared.task.done():
-            shared.cancel_event.set()
-            shared.task.cancel()
-            self._inflight.pop(shared.key, None)
-
-    async def _await_share(self, shared: _SharedPoint) -> dict[str, Any]:
-        """Await a shared computation without cancelling co-waiters."""
-        result = await asyncio.shield(shared.task)
-        if result is None:
-            # The computation noticed its cancel event (another waiter's
-            # deadline raced ours); treat as our own cancellation.
-            raise asyncio.CancelledError()
-        return result
-
-    async def _run_point(
-        self,
-        key: str,
-        payload: dict[str, Any],
-        cancel_event: threading.Event,
-        ctx: TraceContext,
-    ) -> dict[str, Any] | None:
-        """The single shared task computing one point on the pool."""
-        assert self._loop is not None and self._pool is not None
-        try:
-            return await self._loop.run_in_executor(
-                self._pool, self._compute_point, key, payload, cancel_event, ctx
-            )
-        finally:
-            self._inflight.pop(key, None)
+        """Drop one waiter; the last one retires the share and cancels
+        the computation if it is still running."""
+        with self.live.lock:
+            shared.waiters -= 1
+            if shared.waiters > 0:
+                return
+            if self._inflight.get(shared.phase) is shared:
+                del self._inflight[shared.phase]
+                self._settled += 1
+            if not shared.future.done():
+                shared.cancel_event.set()
+                shared.future.cancel()
 
     # ----------------------------------------------------------- worker bridge
     def _compute_point(
@@ -735,6 +720,7 @@ class PlanService:
         payload: dict[str, Any],
         cancel_event: threading.Event,
         ctx: TraceContext,
+        admitted_s: float | None = None,
     ) -> dict[str, Any] | None:
         """Pool-thread body: one point through the sweep's retry loop.
 
@@ -746,17 +732,24 @@ class PlanService:
         pool worker and folds the returned telemetry spans back into
         the request tree; the task payload gains them *after* the cache
         key is fixed, so results and keys are byte-identical either way.
+        ``admitted_s`` is set for the first computation a request starts:
+        its pickup here ends the request's ``serve.queue_wait_s``.
         """
-        task = dict(payload, index=0, engine=self.engine)
+        if admitted_s is not None:
+            self.live.observe(
+                "serve.queue_wait_s",
+                max(0.0, time.perf_counter() - admitted_s),
+                QUEUE_WAIT_BOUNDS,
+                exemplar=ctx.trace_id,
+                help="admission-to-pool-thread pickup wait (seconds)",
+            )
+        task = dict(payload, index=0)
         point_start_s = time.perf_counter()
         try:
             settled = attempt_point(
-                task,
-                self.policy,
-                run_attempt,
+                task, self.policy, run_attempt,
                 context=ctx if self.tracer is not None else None,
-                chaos=self.chaos,
-                cancel_event=cancel_event,
+                chaos=self.chaos, cancel_event=cancel_event,
             )
             self._record_attempts(settled["attempts"], ctx)
             if settled["status"] == "cancelled":
@@ -775,11 +768,8 @@ class PlanService:
         finally:
             if self.tracer is not None:
                 self.tracer.record(
-                    ctx,
-                    "point",
-                    start_s=point_start_s,
-                    duration_s=time.perf_counter() - point_start_s,
-                    key=key[:12],
+                    ctx, "point", start_s=point_start_s,
+                    duration_s=time.perf_counter() - point_start_s, key=key[:12],
                 )
 
     def _record_attempts(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -174,7 +175,11 @@ class ResultCache:
             "payload": payload,
             "result": result,
         }
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        # One temporary file per writing thread: two threads of a process
+        # may store the same key at once (coalesced serve requests).
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
         tmp.write_text(
             json.dumps(document, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",

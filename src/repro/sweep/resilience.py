@@ -255,9 +255,9 @@ def apply_chaos(chaos: dict[str, Any], index: int, attempt: int) -> None:
 
 # ----------------------------------------------------------------- worker pool
 #: Workers fork from a forkserver that imported the sweep stack once, never
-#: from the calling process: the caller's threads (serve's event loop, HTTP
-#: and pool threads, a sweep's attempt threads) cannot leave a lock held in
-#: a worker, and no worker pays an interpreter + numpy start.
+#: from the calling process: the caller's threads (serve's HTTP and pool
+#: threads, a sweep's attempt threads) cannot leave a lock held in a
+#: worker, and no worker pays an interpreter + numpy start.
 _FORKSERVER = multiprocessing.get_context("forkserver")
 
 #: Modules the forkserver imports before it forks any worker.

@@ -329,13 +329,15 @@ def _iter_outcomes(
             yield from _drain(pool, body, tasks)
 
 
-def _phase_key(
+def point_phase_key(
     config: SystemConfig, point: SweepPoint, max_requests: int
 ) -> Hashable | None:
     """``point``'s :func:`~repro.core.simulate.column_phase_key`.
 
-    ``None`` when the layout does not resolve: such a point shares no
-    run, and its own attempt reports the error.
+    Points with equal keys price one phase, so the sweep runner and the
+    serving layer run each key once.  ``None`` when the layout does not
+    resolve: such a point shares no run, and its own attempt reports
+    the error.
     """
     try:
         return column_phase_key(
@@ -514,7 +516,7 @@ def run_sweep(
                 log.debug("cache hit", point=index)
                 continue
             to_store[index] = (key, payload)
-        phase = _phase_key(configs[point.config_label], point, max_requests)
+        phase = point_phase_key(configs[point.config_label], point, max_requests)
         if phase is not None:
             first = representatives.setdefault(phase, index)
             if first != index:

@@ -37,7 +37,7 @@ SERVE_FAMILIES = [
     ("serve_queue_depth", "gauge", "admitted requests in flight"),
     ("serve_queue_limit", "gauge", "admission bound"),
     ("serve_queue_wait_s", "histogram",
-     "admission-to-loop-pickup wait (seconds)"),
+     "admission-to-pool-thread pickup wait (seconds)"),
     ("serve_request_s", "histogram",
      "end-to-end POST /plan latency (seconds)"),
     ("serve_requests", "counter", "requests submitted"),

@@ -237,7 +237,14 @@ class TestPhaseTraceLayering:
 class TestBenchLayerTargets:
     """The benchmark's traced run wraps program callables by name
     (``bench/layers.py``); a refactor that renames or moves one would
-    silently drop its layer spans, so every target must still resolve."""
+    silently drop its layer spans, so every target must still resolve.
+
+    The one exception is ``PlanService._handle``: the coroutine the
+    service ran on its event loop, which ``layers.install`` re-parents
+    across that hop.  The service answers on the calling thread now, so
+    the name is gone on purpose and ``install`` reports it missing until
+    the benchmark drops the hook.
+    """
 
     def test_install_finds_every_target(self, tmp_path):
         import subprocess
@@ -256,4 +263,4 @@ class TestBenchLayerTargets:
             timeout=120,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[]"
+        assert run.stdout.strip() == "['PlanService._handle']"

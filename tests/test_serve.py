@@ -42,6 +42,26 @@ from repro.sweep import (
 #: Small, fast request used across the suite.
 SPEC = {"n": 256, "max_requests": 2048}
 
+#: A plan with every kind of phase repeat (N=256, where Eq. (1) gives
+#: h=16): ``ddl`` at Eq. (1) is ``ddl`` h=16, ``block-ddl-w1h32`` is
+#: ``ddl`` h=32 and ``tiled-1x32`` is ``row-major``; six points, three
+#: distinct phases.
+PHASE_PLAN = {
+    "n": 256,
+    "layouts": ["row-major", "ddl", "tiled-1x32", "block-ddl-w1h32"],
+    "heights": [0, 16, 32],
+    "max_requests": 2048,
+}
+
+
+def serve_threads():
+    """Names of the live threads a service or its server started."""
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-serve-") and thread.is_alive()
+    ]
+
 
 @pytest.fixture(autouse=True)
 def _clean_logging():
@@ -238,6 +258,79 @@ class TestServiceHTTP:
             envelope["document"], indent=2, sort_keys=True
         ) + "\n"
         assert served == sweep.to_json()
+
+    @pytest.mark.parametrize("case", ["cold", "burst", "warm", "partly-warm"])
+    def test_shared_phases_byte_identical_to_sweep(self, case, tmp_path):
+        """Phase sharing is invisible: whether the request computes, joins
+        a burst, replays a warm cache or mixes hits with shared misses,
+        its document is the sweep's, byte for byte."""
+        grid = parse_plan_request(PHASE_PLAN).grid()
+        expected = run_sweep(grid, max_requests=2048).to_json()
+        cache = ResultCache(tmp_path / "cache")
+        if case == "warm":
+            run_sweep(grid, max_requests=2048, cache=cache)
+        elif case == "partly-warm":
+            # Two cached points: the row-major representative (so
+            # tiled-1x32 prices alone) and the block-ddl-w1h32 sharer.
+            run_sweep(
+                SweepGrid(sizes=(256,), layouts=("row-major", "block-ddl-w1h32")),
+                max_requests=2048,
+                cache=cache,
+            )
+        envelopes = []
+        with PlanService(cache=cache, jobs=4) as service:
+            if case == "burst":
+                threads = [
+                    threading.Thread(
+                        target=lambda: envelopes.append(
+                            service.handle(dict(PHASE_PLAN))[1]
+                        )
+                    )
+                    for _ in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            else:
+                envelopes.append(service.handle(dict(PHASE_PLAN))[1])
+            attempts = service.live.snapshot()["latency"].get(
+                "serve.attempt_s", {"count": 0}
+            )["count"]
+        assert len(envelopes) == (4 if case == "burst" else 1)
+        for envelope in envelopes:
+            served = json.dumps(envelope["document"], indent=2, sort_keys=True)
+            assert served + "\n" == expected
+        # One attempt per distinct phase the cache could not answer.
+        assert attempts == {"cold": 3, "burst": 3, "warm": 0, "partly-warm": 3}[case]
+        if case == "partly-warm":
+            assert (envelopes[0]["cached"], envelopes[0]["computed"]) == (2, 4)
+
+    def test_close_cancels_waiters_and_leaves_no_thread(self):
+        service = PlanService(
+            jobs=2, chaos=WorkerChaos(hang_points=(0,), hang_s=30.0)
+        )
+        answers = []
+        with service, PlanServer(service) as server:
+            waiter = threading.Thread(
+                target=lambda: answers.append(post(server.url + "/plan", SPEC))
+            )
+            waiter.start()
+            deadline = time.monotonic() + 10.0
+            while service.live.snapshot()["latency"].get(
+                "serve.queue_wait_s", {"count": 0}
+            )["count"] < 1:
+                assert time.monotonic() < deadline, "point never picked up"
+                time.sleep(0.01)
+            service.close()
+            # close() joined the pool threads; only HTTP threads are left.
+            left = serve_threads()
+            assert not [name for name in left if name.startswith("repro-serve-worker")]
+            waiter.join(timeout=30.0)
+        code, _, envelope = answers[0]
+        assert code == 503 and envelope["error"] == "shutdown"
+        assert envelope["reason"] == QuarantineReason.CANCELLED.value
+        assert serve_threads() == []
 
     def test_cache_interop_both_directions(self, tmp_path):
         # Sweep writes, service replays ...
@@ -508,7 +601,7 @@ class TestServiceHTTP:
         thread = threading.Thread(target=run)
         thread.start()
         deadline = time.monotonic() + 5.0
-        while service._loop is None:
+        while not service.ready():
             assert time.monotonic() < deadline, "service never started"
             time.sleep(0.01)
         stop.set()
@@ -566,6 +659,44 @@ class TestWorkerReplacement:
             for reason in ("timeout", "worker_crash", "cancelled")
         }
         assert replaced == {"timeout": 1, "worker_crash": 0, "cancelled": 0}
+
+    def test_deadline_abandons_only_its_own_wait(self):
+        """A requester that times out leaves a computation others still
+        wait on running; only the last waiter to leave cancels it."""
+        spec = {"n": 256, "layouts": ["row-major"], "max_requests": 2048}
+        chaos = WorkerChaos(hang_points=(0,), hang_s=1.0)
+        service = PlanService(jobs=1, chaos=chaos)
+
+        def cancelled_replacements():
+            counters = service.live.snapshot()["counters"]
+            return counters["workers_replaced.cancelled"]
+
+        answers = []
+        with service:
+            owner = threading.Thread(
+                target=lambda: answers.append(
+                    service.handle({**spec, "deadline_s": 0.2})
+                )
+            )
+            owner.start()
+            deadline = time.monotonic() + 10.0
+            while service.live.snapshot()["latency"].get(
+                "serve.queue_wait_s", {"count": 0}
+            )["count"] < 1:
+                assert time.monotonic() < deadline, "point never picked up"
+                time.sleep(0.01)
+            code, envelope, _ = service.handle({**spec, "deadline_s": 10.0})
+            owner.join(timeout=30.0)
+            assert answers[0][0] == 504
+            assert answers[0][1]["error"] == "deadline-exceeded"
+            assert code == 200 and envelope["coalesced"] == 1
+            assert cancelled_replacements() == 0
+            # Alone, a request that times out is the last waiter: its
+            # computation is cancelled and its worker replaced.
+            code, _, _ = service.handle({**spec, "deadline_s": 0.2})
+            assert code == 504
+        # close() joined the pool thread, which recorded the attempt.
+        assert cancelled_replacements() == 1
 
     def test_warm_attempts_land_in_millisecond_buckets(self):
         with PlanService(jobs=1) as service:
@@ -797,7 +928,7 @@ class TestFlightRecorder:
         thread = threading.Thread(target=run)
         thread.start()
         deadline = time.monotonic() + 5.0
-        while service._loop is None:
+        while not service.ready():
             assert time.monotonic() < deadline, "service never started"
             time.sleep(0.01)
         stop.set()

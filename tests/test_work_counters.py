@@ -195,25 +195,29 @@ REFRESH_SWEEP = {
     "log.records": 6,
 }
 
-#: A cold SPEC request: one attempt and one cache write per point, the
-#: request's tracer spans, and nine records: "request admitted",
-#: "request served" and each computed point's worker record ("point
-#: simulated"), forwarded by the worker-payload fold as a sweep does.
+#: A cold SPEC request: its 7 points price 5 distinct phases
+#: (``tiled-1x32`` is ``row-major`` and ``block-ddl-w1h32`` is ``ddl``
+#: h=32, as in a sweep), so one attempt per phase, and still one cache
+#: read and write per point.  The tracer gets the request span plus a
+#: point, an attempt and two worker spans per attempt; seven records:
+#: "request admitted", "request served" and each attempt's worker
+#: record ("point simulated"), forwarded by the worker-payload fold as
+#: a sweep does.
 SERVE_COLD = {
-    "trace.column_walk_trace": 3,
-    "trace.block_column_read_trace": 4,
-    "trace.requests": 245_760,
-    "simulate.vector": 7,
-    "simulate.requests": 245_760,
-    "price_arrays": 7,
-    "relax": 148,
-    "steady.blocks": 42,
-    "steady.shifted": 222_208,
-    "attempt": 7,
+    "trace.column_walk_trace": 2,
+    "trace.block_column_read_trace": 3,
+    "trace.requests": 176_128,
+    "simulate.vector": 5,
+    "simulate.requests": 176_128,
+    "price_arrays": 5,
+    "relax": 80,
+    "steady.blocks": 24,
+    "steady.shifted": 157_696,
+    "attempt": 5,
     "cache.get": 7,
     "cache.put": 7,
-    "tracer.record": 29,
-    "log.records": 9,
+    "tracer.record": 21,
+    "log.records": 7,
 }
 
 #: The same request again: seven cache reads, one request span, and

@@ -18,6 +18,11 @@ demands the issue's overload semantics end to end:
   (dumped to ``load-smoke-bundle.json`` as a CI artifact);
 * ``GET /logs?n=20`` returns a ``repro-logs-tail/v1`` tail of at most
   20 records;
+* **a deadline cancels the work**: one request whose cold point takes
+  at least 10x its ``deadline_s`` (the size is found by timing cold
+  points of growing N) answers 504 ``deadline-exceeded``, ``/metrics``
+  then counts a cancelled worker replacement, and the next plain
+  request answers 200;
 * **SIGTERM drains cleanly**: the server exits 0 within the drain
   budget and leaves a ``flight-sigterm.json`` forensic bundle behind;
 * **no orphans**: the server runs in its own session, and once it has
@@ -128,6 +133,47 @@ def post_plan(url: str, spec: dict[str, Any]) -> dict[str, Any]:
             "headers": dict(exc.headers),
             "body": json.loads(exc.read()),
         }
+
+
+#: Budget of the deadline check's request, seconds.
+DEADLINE_S = 0.025
+
+#: A config whose refresh windows send every point to the exact loop,
+#: whose cost grows with the requests priced.
+EXACT_LOOP = {"memory": {"refresh": {"t_refi_ns": 7800.0, "t_rfc_ns": 160.0}}}
+
+
+def slow_spec(url: str, deadline_s: float) -> tuple[dict[str, Any], float]:
+    """A one-point plan whose cold point takes at least 10x ``deadline_s``.
+
+    Doubles N from 256 and times each cold point, whole column phase on
+    the exact loop (the server runs without a cache, so every point is
+    cold).  Returns the plan and its measured seconds; past N=2048 it
+    returns the largest one, and the check reports the shortfall.
+    """
+    n = 256
+    while True:
+        spec = {
+            "n": n,
+            "layouts": ["row-major"],
+            "max_requests": n * n,
+            "overrides": EXACT_LOOP,
+        }
+        started = time.perf_counter()  # repro: ignore[DET001]
+        post_plan(url, spec)
+        elapsed = time.perf_counter() - started  # repro: ignore[DET001]
+        if elapsed >= 10 * deadline_s or n >= 2048:
+            return spec, elapsed
+        n *= 2
+
+
+def cancelled_replacements(url: str) -> float:
+    """``serve_workers_replaced_cancelled_total`` from ``/metrics``."""
+    with urllib.request.urlopen(url + "/metrics", timeout=5.0) as resp:
+        families = parse_openmetrics(resp.read().decode("utf-8"))
+    return families["serve_workers_replaced_cancelled"]["samples"][
+        "serve_workers_replaced_cancelled_total"
+    ]
 
 
 def fire_burst(
@@ -288,6 +334,38 @@ def main(argv: list[str] | None = None) -> int:
             "metrics parse and report the sheds",
             shed_total >= len(shed) >= 1,
             f"serve_shed_total={shed_total}",
+        ))
+
+        slow, slow_s = slow_spec(url, DEADLINE_S)
+        checks.append((
+            "a cold point of the deadline plan takes >= 10x its deadline",
+            slow_s >= 10 * DEADLINE_S,
+            f"N={slow['n']}: {slow_s:.3f} s against deadline_s={DEADLINE_S}",
+        ))
+        late = post_plan(url, {**slow, "deadline_s": DEADLINE_S})
+        checks.append((
+            "the deadline request answers 504 deadline-exceeded",
+            late["code"] == 504
+            and late["body"].get("error") == "deadline-exceeded",
+            f"{late['code']} {late['body'].get('error')}",
+        ))
+        # The pool thread records the replacement once the cancelled
+        # attempt's worker is killed, just after the 504 goes out.
+        deadline = time.monotonic() + 10.0  # repro: ignore[DET001]
+        replaced = cancelled_replacements(url)
+        while replaced < 1 and time.monotonic() < deadline:  # repro: ignore[DET001]
+            time.sleep(0.1)
+            replaced = cancelled_replacements(url)
+        checks.append((
+            "/metrics counts the cancelled worker replacement",
+            replaced >= 1,
+            f"serve_workers_replaced_cancelled_total={replaced}",
+        ))
+        after = post_plan(url, spec)
+        checks.append((
+            "the next plain request answers 200",
+            after["code"] == 200,
+            f"{after['code']}",
         ))
 
         server.send_signal(signal.SIGTERM)
