@@ -120,13 +120,15 @@ def test_event_recorder_on_over_off():
 
     def run_on() -> None:
         recorder.clear()
-        recorded.simulate(trace, "per_vault")
+        recorded.simulate(trace, "per_vault", engine="exact")
 
     def run_off() -> None:
-        plain.simulate(trace, "per_vault")
+        plain.simulate(trace, "per_vault", engine="exact")
 
     run_on()
-    assert recorded.simulate(trace, "per_vault") == plain.simulate(trace, "per_vault")
+    assert recorded.simulate(trace, "per_vault", engine="exact") == plain.simulate(
+        trace, "per_vault", engine="exact"
+    )
     on_s, off_s = best_of(15, run_on, run_off)
     on_off = on_s / off_s
     assert RECORDER_BAND[0] <= on_off <= RECORDER_BAND[1]
@@ -143,10 +145,10 @@ def test_fault_plan_over_healthy_exact_loop():
     plan = builtin_fault_plans()["latency-jitter"]
 
     def healthy() -> None:
-        memory.simulate(trace, "per_vault", sample=8192)
+        memory.simulate(trace, "per_vault", engine="exact")
 
     def faulted() -> None:
-        memory.simulate(trace, "per_vault", sample=8192, fault_plan=plan)
+        memory.simulate(trace, "per_vault", fault_plan=plan, engine="exact")
 
     faulted_s, healthy_s = best_of(40, faulted, healthy)
     assert faulted_s / healthy_s <= FAULTED_CAP

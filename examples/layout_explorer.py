@@ -65,7 +65,7 @@ def main() -> None:
 
     # ----------------------------------------------------- measured impact
     base_trace = column_walk_trace(RowMajorLayout(2048, 2048), cols=range(4))
-    base = memory.simulate(base_trace, "in_order", sample=65_536)
+    base = memory.simulate(base_trace, "in_order")
     print(
         f"row-major column walk (N=2048): {base.bandwidth_gbps:5.2f} GB/s, "
         f"row-hit rate {base.row_hit_rate:.0%}"
@@ -78,7 +78,7 @@ def main() -> None:
         trace = block_column_read_trace(
             layout, n_streams=16, whole_blocks=False, block_cols=range(16)
         )
-        stats = memory.simulate(trace, "per_vault", sample=65_536)
+        stats = memory.simulate(trace.head(65_536), "per_vault")
         util = stats.utilization(config.peak_bandwidth)
         marker = "  <- Eq. (1) optimum" if h == geo_2048.height else ""
         print(f"  h={h:2d}: {stats.bandwidth_gbps:6.2f} GB/s "

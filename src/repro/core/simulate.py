@@ -14,13 +14,6 @@ are periodic in the device geometry, and the test suite validates the
 extrapolation against full runs at small sizes.  The request cap must
 be positive: :func:`phase_trace` raises
 :class:`~repro.errors.ConfigError` for ``max_requests <= 0``.
-
-Every driver takes ``engine`` (``"exact"`` or ``"vector"``) and forwards
-it to :meth:`Memory3D.simulate`; the engines are stat-for-stat
-equivalent (CI's ``engine-equivalence`` gate), so the choice is purely a
-throughput knob.  The sweep workers default to ``"vector"``; these
-drivers default to ``"exact"`` so direct callers keep the reference
-path unless they opt in.
 """
 
 from __future__ import annotations
@@ -86,7 +79,7 @@ class PhaseTrace:
     def price(
         self,
         memory: Memory3D,
-        engine: str = "exact",
+        engine: str = "vector",
         fault_plan: FaultPlan | None = None,
     ) -> AccessStats:
         """Run the prefix on ``memory`` and extrapolate it to the extent."""
@@ -286,7 +279,7 @@ def simulate_baseline_column_phase(
     n: int,
     max_requests: int = DEFAULT_SAMPLE_REQUESTS,
     spans: SpanTimeline | None = None,
-    engine: str = "exact",
+    engine: str = "vector",
 ) -> PhaseMetrics:
     """Phase 2 of the baseline: stride-``n`` walks over a row-major image.
 
@@ -305,7 +298,7 @@ def simulate_optimized_column_phase(
     whole_blocks: bool = True,
     max_requests: int = DEFAULT_SAMPLE_REQUESTS,
     spans: SpanTimeline | None = None,
-    engine: str = "exact",
+    engine: str = "vector",
 ) -> PhaseMetrics:
     """Phase 2 under the DDL: parallel block-column streams, per-vault queues.
 
@@ -359,7 +352,7 @@ def simulate_column_phase(
     whole_blocks: bool = True,
     max_requests: int = DEFAULT_SAMPLE_REQUESTS,
     spans: SpanTimeline | None = None,
-    engine: str = "exact",
+    engine: str = "vector",
 ) -> ColumnPhaseRun:
     """Phase 2 of the application under a named data layout.
 
@@ -392,7 +385,7 @@ def simulate_row_phase(
     layout: BlockDDLLayout | None = None,
     max_requests: int = DEFAULT_SAMPLE_REQUESTS,
     spans: SpanTimeline | None = None,
-    engine: str = "exact",
+    engine: str = "vector",
 ) -> PhaseMetrics:
     """Phase 1: streaming writes of row-FFT results.
 

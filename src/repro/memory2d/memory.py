@@ -25,9 +25,9 @@ class Memory2D:
         """Address decoding of the underlying single-vault view."""
         return self._engine.mapping
 
-    def simulate(self, trace: TraceArray, sample: int | None = None) -> AccessStats:
+    def simulate(self, trace: TraceArray) -> AccessStats:
         """Run a trace on the channel and return aggregate statistics."""
-        return self._engine.simulate(trace, discipline="in_order", sample=sample)
+        return self._engine.simulate(trace, discipline="in_order")
 
     def classify_transitions(self, trace: TraceArray) -> dict[str, int]:
         """Consecutive-request transition fingerprint (see Memory3D)."""

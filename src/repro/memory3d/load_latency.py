@@ -56,19 +56,18 @@ def latency_load_curve(
     pattern: TraceArray,
     fractions: tuple[float, ...] = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
     discipline: str = "per_vault",
-    sample: int | None = 32_768,
 ) -> list[LoadPoint]:
     """Sweep offered load over a pattern and measure queueing latency.
 
     The trace is replayed with uniform arrivals at each offered fraction
     of the device peak; ``mean_request_latency_ns`` comes straight from
-    the timing engines.
+    the timing engines.  The whole pattern is replayed; pass
+    ``pattern.head(k)`` to price a prefix.
     """
     peak = memory.config.peak_bandwidth
-    run = pattern if sample is None else pattern.head(min(sample, len(pattern)))
     points: list[LoadPoint] = []
     for fraction in fractions:
-        loaded = with_offered_load(run, fraction, peak)
+        loaded = with_offered_load(pattern, fraction, peak)
         stats = memory.simulate(loaded, discipline)
         points.append(LoadPoint(
             offered_fraction=fraction,

@@ -36,11 +36,8 @@ Two engines price a trace:
     recorders) fall back to the exact engine automatically; the
     fallback reason lands in :attr:`Memory3D.last_fallback_reason`.
 
-Huge traces (an 8192x8192 phase is 67M requests) can be simulated on a
-representative prefix and extrapolated with :meth:`Memory3D.simulate`'s
-``sample`` argument; the access patterns in this package are periodic in
-the device geometry, so a prefix covering many periods predicts the steady
-state (validated in the tests).
+Every pricing call defaults to ``engine="vector"`` and prices exactly the
+trace it is given; ``engine="exact"`` selects the reference loop.
 """
 
 from __future__ import annotations
@@ -99,8 +96,8 @@ def _check_trace(trace: Any) -> Any:
     """Validate a trace argument without expanding it.
 
     Compiled traces are kept compact here: the vector engine prices
-    their runs directly, and only the exact engine (or a sampled run)
-    forces expansion via :func:`_as_trace`.
+    their runs directly, and only the exact engine forces expansion via
+    :func:`_as_trace`.
     """
     if isinstance(trace, TraceArray) or callable(getattr(trace, "expand", None)):
         return trace
@@ -177,9 +174,8 @@ class Memory3D:
         self,
         trace: TraceArray,
         discipline: str = "in_order",
-        sample: int | None = None,
         fault_plan: FaultPlan | None = None,
-        engine: str = "exact",
+        engine: str = "vector",
     ) -> AccessStats:
         """Run a trace and return aggregate statistics.
 
@@ -190,37 +186,24 @@ class Memory3D:
                 vector engine prices run by run and the exact engine
                 expands first).
             discipline: ``"in_order"`` or ``"per_vault"`` (see module docs).
-            sample: if given and smaller than the trace, simulate only the
-                first ``sample`` requests and linearly extrapolate counts and
-                elapsed time to the full trace length.  A recorder attached
-                to this simulator sees events for the simulated prefix only
-                (events are never extrapolated).
             fault_plan: a :class:`~repro.faults.plan.FaultPlan` to degrade
                 this run with (overrides the constructor plan; ``None``
                 falls back to it).  The fault accounting of the run lands
                 in :attr:`last_fault_summary`.
-            engine: ``"exact"`` (the per-request reference loop) or
-                ``"vector"`` (the numpy batch engine; stat-for-stat equal
-                on supported traces, with automatic exact fallback
-                otherwise -- see :attr:`last_fallback_reason`).
+            engine: ``"vector"`` (the numpy batch engine; stat-for-stat
+                equal on supported traces, with automatic exact fallback
+                otherwise -- see :attr:`last_fallback_reason`) or
+                ``"exact"`` (the per-request reference loop).
         """
         trace = _check_trace(trace)
         _check_discipline(discipline)
         self._last_steady_state = None
-        total = len(trace)
-        if total == 0:
+        if len(trace) == 0:
             return AccessStats()
-        run = trace
-        scale = 1.0
-        if sample is not None and 0 < sample < total:
-            run = _as_trace(trace).head(sample)
-            scale = total / sample
-        faults = self._compile_faults(fault_plan, len(run))
-        stats, _ = self._dispatch(run, discipline, faults, False, engine)
+        faults = self._compile_faults(fault_plan, len(trace))
+        stats, _ = self._dispatch(trace, discipline, faults, False, engine)
         if faults is not None:
             self.last_fault_summary = faults.summary()
-        if scale != 1.0:
-            stats = stats.scaled(scale)
         return stats
 
     def _compile_faults(
@@ -375,14 +358,14 @@ class Memory3D:
         tags: np.ndarray,
         discipline: str = "per_vault",
         fault_plan: FaultPlan | None = None,
-        engine: str = "exact",
+        engine: str = "vector",
     ) -> dict[int, AccessStats]:
         """Run a merged multi-tenant trace and split the stats per tag.
 
         Args:
             trace: the interleaved requests of all tenants, in issue order.
             tags: integer tenant id per request.
-            engine: ``"exact"`` or ``"vector"`` (same contract as
+            engine: ``"vector"`` or ``"exact"`` (same contract as
                 :meth:`simulate`).
 
         Returns:
@@ -429,26 +412,22 @@ class Memory3D:
         trace: TraceArray,
         discipline: str = "in_order",
         bucket_ns: float = 100.0,
-        sample: int | None = None,
-        engine: str = "exact",
+        engine: str = "vector",
     ) -> np.ndarray:
         """Achieved bandwidth (bytes/second) per time bucket.
 
-        Runs the trace (optionally a sampled prefix) and histograms the
-        per-request completion times -- useful for spotting warm-up
-        transients, refresh dips and phase boundaries.  Returns an array
-        whose entry *i* is the average bandwidth over
-        ``[i * bucket_ns, (i+1) * bucket_ns)``.
+        Runs the trace and histograms the per-request completion times --
+        useful for spotting warm-up transients, refresh dips and phase
+        boundaries.  Returns an array whose entry *i* is the average
+        bandwidth over ``[i * bucket_ns, (i+1) * bucket_ns)``.
         """
         _check_discipline(discipline)
         if bucket_ns <= 0:
             raise SimulationError(f"bucket_ns must be positive, got {bucket_ns}")
-        run = _check_trace(trace)
-        if sample is not None and 0 < sample < len(trace):
-            run = _as_trace(trace).head(sample)
-        if len(run) == 0:
+        trace = _check_trace(trace)
+        if len(trace) == 0:
             return np.zeros(0)
-        _, completions = self._dispatch(run, discipline, None, True, engine)
+        _, completions = self._dispatch(trace, discipline, None, True, engine)
         assert completions is not None
         buckets = np.floor_divide(completions, bucket_ns).astype(np.int64)
         counts = np.bincount(buckets)

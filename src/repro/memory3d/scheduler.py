@@ -146,7 +146,6 @@ class OpenPageScheduler:
         self,
         trace: TraceArray,
         discipline: str = "in_order",
-        sample: int | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> ScheduledResult:
         """Reorder then price the trace with the normal timing engine.
@@ -155,11 +154,8 @@ class OpenPageScheduler:
         :meth:`Memory3D.simulate` -- the reordering itself is unaffected
         (the controller does not know which vaults will misbehave).
         """
-        run = trace if sample is None else trace.head(min(sample, len(trace)))
-        reordered, displaced = self.reorder(run)
+        reordered, displaced = self.reorder(trace)
         stats = self.memory.simulate(reordered, discipline, fault_plan=fault_plan)
-        if sample is not None and len(trace) > len(run) and len(run):
-            stats = stats.scaled(len(trace) / len(run))
         return ScheduledResult(
             stats=stats, reordered=reordered, window=self.window,
             displaced=displaced,

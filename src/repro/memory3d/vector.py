@@ -2,9 +2,9 @@
 
 This module prices a whole trace with numpy array scans and closed-form
 run arithmetic instead of the per-request Python loop in
-:mod:`repro.memory3d.memory`.  It is selected with ``engine="vector"``
-on :meth:`~repro.memory3d.memory.Memory3D.simulate` and is the default
-engine for sweep workers; CI's ``engine-equivalence`` job asserts it
+:mod:`repro.memory3d.memory`.  It is the default engine
+(``engine="vector"``) of :meth:`~repro.memory3d.memory.Memory3D.simulate`
+and every caller above it; CI's ``engine-equivalence`` job asserts it
 stat-for-stat *equal* (``==``, not approximately equal) to the exact
 engine on the full corpus.
 

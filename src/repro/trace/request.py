@@ -136,7 +136,7 @@ class TraceArray:
         return len(self) * ELEMENT_BYTES
 
     def head(self, n: int) -> "TraceArray":
-        """The first ``n`` requests (used for sampled simulation)."""
+        """The first ``n`` requests (how a caller prices a prefix)."""
         if n < 0:
             raise TraceError(f"head length must be non-negative, got {n}")
         return self[:n]

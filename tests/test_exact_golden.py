@@ -83,7 +83,8 @@ def _run(case_id: str) -> dict:
     recorder = EventTrace()
     memory = Memory3D(config, recorder=recorder)
     stats = memory.simulate(
-        _traces()[trace_name], discipline, fault_plan=_plans()[plan_name]
+        _traces()[trace_name], discipline, fault_plan=_plans()[plan_name],
+        engine="exact",
     )
     assert memory.last_engine == "exact"
     events = {}

@@ -193,9 +193,9 @@ class TestFaultedSimulation:
     def test_healthy_plan_changes_nothing(self):
         trace = _ddl_trace()
         memory = Memory3D(CONFIG)
-        healthy = memory.simulate(trace, "per_vault", sample=SAMPLE)
+        healthy = memory.simulate(trace, "per_vault")
         nop = memory.simulate(
-            trace, "per_vault", sample=SAMPLE, fault_plan=FaultPlan()
+            trace, "per_vault", fault_plan=FaultPlan()
         )
         assert nop.elapsed_ns == healthy.elapsed_ns
         assert nop.row_activations == healthy.row_activations
@@ -207,10 +207,10 @@ class TestFaultedSimulation:
         trace = _ddl_trace()
         plan = builtin_fault_plans(seed=42)["bit-errors"]
         first = Memory3D(CONFIG).simulate(
-            trace, "per_vault", sample=SAMPLE, fault_plan=plan
+            trace, "per_vault", fault_plan=plan
         )
         second = Memory3D(CONFIG).simulate(
-            trace, "per_vault", sample=SAMPLE, fault_plan=plan
+            trace, "per_vault", fault_plan=plan
         )
         assert first == second  # dataclass equality: every field matches
 
@@ -218,12 +218,12 @@ class TestFaultedSimulation:
         trace = _ddl_trace()
         memory = Memory3D(CONFIG)
         memory.simulate(
-            trace, "per_vault", sample=SAMPLE,
+            trace, "per_vault",
             fault_plan=builtin_fault_plans(seed=1)["latency-jitter"],
         )
         first = memory.last_fault_summary["jitter_ns"]
         memory.simulate(
-            trace, "per_vault", sample=SAMPLE,
+            trace, "per_vault",
             fault_plan=builtin_fault_plans(seed=2)["latency-jitter"],
         )
         assert memory.last_fault_summary["jitter_ns"] != first
@@ -231,9 +231,9 @@ class TestFaultedSimulation:
     def test_vault_failure_slows_and_remaps(self):
         trace = _ddl_trace()
         memory = Memory3D(CONFIG)
-        healthy = memory.simulate(trace, "per_vault", sample=SAMPLE)
+        healthy = memory.simulate(trace, "per_vault")
         faulted = memory.simulate(
-            trace, "per_vault", sample=SAMPLE,
+            trace, "per_vault",
             fault_plan=builtin_fault_plans()["vault-failure"],
         )
         assert faulted.elapsed_ns > healthy.elapsed_ns
@@ -241,9 +241,9 @@ class TestFaultedSimulation:
 
     def test_latency_jitter_accumulates(self):
         memory = Memory3D(CONFIG)
-        healthy = memory.simulate(_ddl_trace(), "per_vault", sample=SAMPLE)
+        healthy = memory.simulate(_ddl_trace(), "per_vault")
         faulted = memory.simulate(
-            _ddl_trace(), "per_vault", sample=SAMPLE,
+            _ddl_trace(), "per_vault",
             fault_plan=builtin_fault_plans()["latency-jitter"],
         )
         assert faulted.elapsed_ns > healthy.elapsed_ns
@@ -251,9 +251,9 @@ class TestFaultedSimulation:
 
     def test_refresh_storm_stalls(self):
         memory = Memory3D(CONFIG)
-        healthy = memory.simulate(_ddl_trace(), "per_vault", sample=SAMPLE)
+        healthy = memory.simulate(_ddl_trace(), "per_vault")
         faulted = memory.simulate(
-            _ddl_trace(), "per_vault", sample=SAMPLE,
+            _ddl_trace(), "per_vault",
             fault_plan=builtin_fault_plans()["refresh-storm"],
         )
         assert faulted.elapsed_ns > healthy.elapsed_ns
@@ -264,9 +264,9 @@ class TestFaultedSimulation:
         # windows close hot and the following windows run derated.
         trace = _ddl_trace(n=512)
         memory = Memory3D(CONFIG)
-        healthy = memory.simulate(trace, "per_vault", sample=65_536)
+        healthy = memory.simulate(trace, "per_vault")
         faulted = memory.simulate(
-            trace, "per_vault", sample=65_536,
+            trace, "per_vault",
             fault_plan=builtin_fault_plans()["thermal-throttle"],
         )
         summary = memory.last_fault_summary
@@ -276,9 +276,9 @@ class TestFaultedSimulation:
 
     def test_bit_errors_pay_correction_and_count(self):
         memory = Memory3D(CONFIG)
-        healthy = memory.simulate(_ddl_trace(), "per_vault", sample=SAMPLE)
+        healthy = memory.simulate(_ddl_trace(), "per_vault")
         faulted = memory.simulate(
-            _ddl_trace(), "per_vault", sample=SAMPLE,
+            _ddl_trace(), "per_vault",
             fault_plan=builtin_fault_plans()["bit-errors"],
         )
         summary = memory.last_fault_summary
@@ -289,19 +289,19 @@ class TestFaultedSimulation:
         plan = builtin_fault_plans()["latency-jitter"]
         memory = Memory3D(CONFIG, fault_plan=plan)
         healthy = Memory3D(CONFIG).simulate(
-            _ddl_trace(), "per_vault", sample=SAMPLE
+            _ddl_trace(), "per_vault"
         )
-        faulted = memory.simulate(_ddl_trace(), "per_vault", sample=SAMPLE)
+        faulted = memory.simulate(_ddl_trace(), "per_vault")
         assert faulted.elapsed_ns > healthy.elapsed_ns
 
     def test_request_accounting_is_preserved(self):
         """Faults move time, never requests: counts match the healthy run."""
         trace = _row_major_trace()
         memory = Memory3D(CONFIG)
-        healthy = memory.simulate(trace, "in_order", sample=SAMPLE)
+        healthy = memory.simulate(trace, "in_order")
         for name, plan in builtin_fault_plans().items():
             faulted = memory.simulate(
-                trace, "in_order", sample=SAMPLE, fault_plan=plan
+                trace, "in_order", fault_plan=plan
             )
             assert faulted.requests == healthy.requests, name
 
@@ -311,7 +311,7 @@ class TestFaultObservability:
         recorder = EventTrace()
         memory = Memory3D(CONFIG, recorder=recorder)
         memory.simulate(
-            _ddl_trace(), "per_vault", sample=SAMPLE,
+            _ddl_trace(), "per_vault",
             fault_plan=builtin_fault_plans()["bit-errors"],
         )
         events = recorder.events(EventKind.BIT_ERROR)

@@ -220,7 +220,7 @@ class TestLayoutComparison:
         memory = Memory3D(config)
 
         def utilization(trace, discipline):
-            stats = memory.simulate(trace, discipline, sample=16_384)
+            stats = memory.simulate(trace.head(16_384), discipline)
             return stats.utilization(config.peak_bandwidth)
 
         return utilization

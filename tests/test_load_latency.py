@@ -10,6 +10,7 @@ from repro.memory3d.load_latency import (
     latency_load_curve,
     with_offered_load,
 )
+from repro.memory3d.memory import ENGINES
 from repro.trace import TraceArray, block_column_read_trace, column_walk_trace, linear_trace
 
 
@@ -62,15 +63,16 @@ class TestOpenLoopTiming:
         arrivals = np.cumsum(rng.uniform(0.5, 5.0, size=300))
         trace = TraceArray(addresses).with_arrivals(arrivals)
         for discipline in ("in_order", "per_vault"):
-            fast = memory.simulate(trace, discipline)
             reference = memory.simulate_reference(trace, discipline)
-            assert fast.elapsed_ns == pytest.approx(reference.elapsed_ns)
-            assert fast.mean_request_latency_ns == pytest.approx(
-                reference.mean_request_latency_ns
-            )
-            assert fast.max_request_latency_ns == pytest.approx(
-                reference.max_request_latency_ns
-            )
+            for engine in ENGINES:
+                fast = memory.simulate(trace, discipline, engine=engine)
+                assert fast.elapsed_ns == pytest.approx(reference.elapsed_ns), engine
+                assert fast.mean_request_latency_ns == pytest.approx(
+                    reference.mean_request_latency_ns
+                ), engine
+                assert fast.max_request_latency_ns == pytest.approx(
+                    reference.max_request_latency_ns
+                ), engine
 
     def test_overload_latency_grows(self, memory):
         """Arrivals faster than service accumulate unbounded queueing."""
@@ -87,7 +89,7 @@ class TestLoadCurve:
         trace = column_walk_trace(RowMajorLayout(1024, 1024), cols=range(8))
         points = latency_load_curve(
             memory, trace, fractions=(0.01, 0.02, 0.05, 0.25),
-            discipline="in_order", sample=8192,
+            discipline="in_order",
         )
         assert knee_fraction(points) <= 0.05
 
@@ -95,7 +97,7 @@ class TestLoadCurve:
         layout = BlockDDLLayout(1024, 1024, 2, 16)
         trace = block_column_read_trace(layout, n_streams=16, block_cols=range(16))
         points = latency_load_curve(
-            memory, trace, fractions=(0.25, 0.75, 1.0), sample=16_384
+            memory, trace.head(16_384), fractions=(0.25, 0.75, 1.0)
         )
         assert knee_fraction(points) == 1.0
         assert not points[-1].saturated
@@ -104,7 +106,7 @@ class TestLoadCurve:
         layout = BlockDDLLayout(512, 512, 2, 16)
         trace = block_column_read_trace(layout, n_streams=16, block_cols=range(16))
         points = latency_load_curve(
-            memory, trace, fractions=(0.1, 0.5, 0.9), sample=8192
+            memory, trace.head(8192), fractions=(0.1, 0.5, 0.9)
         )
         latencies = [p.mean_latency_ns for p in points]
         assert latencies == sorted(latencies)
@@ -125,7 +127,7 @@ class TestHockeyStick:
         trace = column_walk_trace(RowMajorLayout(1024, 1024), cols=range(8))
         points = latency_load_curve(
             memory, trace, fractions=(0.005, 0.01, 0.02, 0.05, 0.25),
-            discipline="in_order", sample=8192,
+            discipline="in_order",
         )
         assert points[-1].mean_latency_ns > 1000 * points[0].mean_latency_ns
         best = max(p.achieved_bytes_per_s for p in points if not p.saturated)
@@ -134,5 +136,5 @@ class TestHockeyStick:
     def test_ddl_latency_stays_a_few_beats(self, memory, mem_config):
         layout = BlockDDLLayout(1024, 1024, 2, 16)
         trace = block_column_read_trace(layout, n_streams=16, block_cols=range(16))
-        points = latency_load_curve(memory, trace, fractions=(1.0,), sample=16_384)
+        points = latency_load_curve(memory, trace.head(16_384), fractions=(1.0,))
         assert points[-1].mean_latency_ns < 50 * mem_config.timing.t_in_row

@@ -51,7 +51,7 @@ class TestTiming:
         memory = Memory2D(ddr3_like_config())
         trace = linear_trace(0, 10_000)
         full = memory.simulate(trace)
-        sampled = memory.simulate(trace, sample=2000)
+        sampled = memory.simulate(trace.head(2000)).scaled(len(trace) / 2000)
         assert sampled.elapsed_ns == pytest.approx(full.elapsed_ns, rel=0.05)
 
 
@@ -81,11 +81,12 @@ class TestPlanarDDL:
         geo = optimal_block_geometry(memory.config.as_memory3d(), n)
         ddl = BlockDDLLayout(n, n, geo.width, geo.height)
         base = memory.simulate(
-            column_walk_trace(RowMajorLayout(n, n), cols=range(4)), sample=16_384
+            column_walk_trace(RowMajorLayout(n, n), cols=range(4))
         ).utilization(peak)
         opt = memory.simulate(
-            block_column_read_trace(ddl, n_streams=1, block_cols=range(2)),
-            sample=16_384,
+            block_column_read_trace(ddl, n_streams=1, block_cols=range(2)).head(
+                16_384
+            )
         ).utilization(peak)
         assert opt > 3 * base
         assert opt > 0.8

@@ -16,6 +16,7 @@ from repro.layouts import (
     optimal_block_geometry,
 )
 from repro.memory3d import Memory3D, Memory3DConfig
+from repro.memory3d.memory import ENGINES
 from repro.permutation import PermutationNetwork
 from repro.trace import TraceArray, column_walk_trace, compile_trace
 
@@ -181,11 +182,12 @@ class TestMemoryProperties:
         rng = np.random.default_rng(seed)
         addresses = rng.integers(0, span, size=400, dtype=np.int64) * 8
         trace = TraceArray(addresses)
-        fast = memory.simulate(trace, discipline)
         reference = memory.simulate_reference(trace, discipline)
-        assert fast.elapsed_ns == pytest.approx(reference.elapsed_ns)
-        assert fast.row_activations == reference.row_activations
-        assert fast.row_hits == reference.row_hits
+        for engine in ENGINES:
+            fast = memory.simulate(trace, discipline, engine=engine)
+            assert fast.elapsed_ns == pytest.approx(reference.elapsed_ns), engine
+            assert fast.row_activations == reference.row_activations, engine
+            assert fast.row_hits == reference.row_hits, engine
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=20, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.memory3d import Memory3D, Memory3DConfig, RefreshParameters
+from repro.obs import EventKind, EventTrace
 from repro.trace import TraceArray, linear_trace
 
 
@@ -52,16 +53,30 @@ class TestRefreshTiming:
         addresses = rng.integers(0, 1 << 14, size=400, dtype=np.int64) * 8
         trace = TraceArray(addresses)
         for discipline in ("in_order", "per_vault"):
-            fast = refreshing_memory.simulate(trace, discipline)
+            fast = refreshing_memory.simulate(trace, discipline, engine="exact")
             reference = refreshing_memory.simulate_reference(trace, discipline)
             assert fast.elapsed_ns == pytest.approx(reference.elapsed_ns)
             assert fast.row_activations == reference.row_activations
 
     def test_vaults_stagger(self, refreshing_memory):
-        """Two vaults' first refresh windows must not coincide."""
-        vault0 = refreshing_memory.config.refresh.t_refi_ns * 0 / 16
-        vault1 = refreshing_memory.config.refresh.t_refi_ns * 1 / 16
-        assert vault0 != vault1
+        """Vault v's first refresh window opens at v * t_refi / vaults."""
+        config = refreshing_memory.config
+        recorder = EventTrace()
+        Memory3D(config, recorder=recorder).simulate(
+            linear_trace(0, 20_000), "per_vault", engine="exact"
+        )
+        first_window: dict[int, float] = {}
+        for kind, vault, ts, dur in zip(
+            recorder.kinds, recorder.vaults, recorder.ts_ns, recorder.dur_ns,
+            strict=True,
+        ):
+            if kind == EventKind.REFRESH_STALL and vault not in first_window:
+                # A stall ends when the window closes, t_rfc after it opens.
+                first_window[vault] = ts + dur - config.refresh.t_rfc_ns
+        spacing = config.refresh.t_refi_ns / config.vaults
+        assert first_window[0] == pytest.approx(0.0, abs=1e-6)
+        assert first_window[1] == pytest.approx(spacing)
+        assert first_window[1] - first_window[0] == pytest.approx(spacing)
 
     def test_command_in_window_deferred(self):
         from repro.memory3d.vault import VaultTimingModel

@@ -234,6 +234,69 @@ class TestPhaseTraceLayering:
         assert not offenders, f"build phase traces with phase_trace: {offenders}"
 
 
+class TestPricingContract:
+    """``Memory3D`` prices exactly the trace it is given, on the vector
+    engine (with its exact fallback) unless a caller names ``"exact"``.
+
+    Prefix extrapolation lives in ``repro.core.simulate`` alone, and no
+    public callable makes the exact loop its default.
+    """
+
+    def test_only_core_simulate_extrapolates(self):
+        callers = []
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "scaled"
+                ):
+                    callers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+        assert callers, "the scan found no AccessStats.scaled call"
+        offenders = [
+            c for c in callers if not c.startswith("src/repro/core/simulate.py:")
+        ]
+        assert not offenders, f"extrapolate only in repro.core.simulate: {offenders}"
+
+    def test_no_public_callable_defaults_to_the_exact_engine(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro
+
+        defaults: dict[str, object] = {}
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith("__main__"):
+                continue
+            module = importlib.import_module(info.name)
+            for name, obj in vars(module).items():
+                if name.startswith("_"):
+                    continue
+                if getattr(obj, "__module__", None) != info.name:
+                    continue
+                members = [(name, obj)]
+                if inspect.isclass(obj):
+                    members += [
+                        (f"{name}.{attr}", value)
+                        for attr, value in vars(obj).items()
+                        if callable(value)
+                        and (not attr.startswith("_") or attr == "__init__")
+                    ]
+                for qualname, member in members:
+                    try:
+                        engine = inspect.signature(member).parameters.get("engine")
+                    except (TypeError, ValueError):
+                        continue
+                    if engine is not None:
+                        defaults[f"{info.name}.{qualname}"] = engine.default
+        assert "repro.memory3d.memory.Memory3D.simulate" in defaults
+        assert "repro.core.simulate.PhaseTrace.price" in defaults
+        offenders = sorted(k for k, v in defaults.items() if v == "exact")
+        assert not offenders, f"default engine must be 'vector': {offenders}"
+
+
 class TestBenchLayerTargets:
     """The benchmark's traced run wraps program callables by name
     (``bench/layers.py``); a refactor that renames or moves one would

@@ -86,15 +86,14 @@ class TestSchedulingVsLayout:
         the DDL delivers with a plain in-order controller."""
         n = 1024
         trace = column_walk_trace(RowMajorLayout(n, n), cols=range(8))
-        giant = OpenPageScheduler(memory, window=n + 16).simulate(
-            trace, sample=8192
-        )
+        giant = OpenPageScheduler(memory, window=n + 16).simulate(trace)
         geo = optimal_block_geometry(mem_config, n)
         layout = BlockDDLLayout(n, n, geo.width, geo.height)
         ddl = memory.simulate(
-            block_column_read_trace(layout, n_streams=16, block_cols=range(16)),
+            block_column_read_trace(
+                layout, n_streams=16, block_cols=range(16)
+            ).head(16_384),
             "per_vault",
-            sample=16_384,
         )
         assert giant.stats.bandwidth_gbps < ddl.bandwidth_gbps / 2
         assert ddl.bandwidth_gbps > 0.99 * mem_config.peak_bandwidth / 1e9
@@ -110,7 +109,7 @@ class TestSchedulingVsLayout:
         n = 512
         trace = column_walk_trace(RowMajorLayout(n, n), cols=range(8))
         full = OpenPageScheduler(memory, window=32).simulate(trace)
-        sampled = OpenPageScheduler(memory, window=32).simulate(trace, sample=1024)
-        assert sampled.stats.elapsed_ns == pytest.approx(
+        sampled = OpenPageScheduler(memory, window=32).simulate(trace.head(1024))
+        assert sampled.stats.scaled(len(trace) / 1024).elapsed_ns == pytest.approx(
             full.stats.elapsed_ns, rel=0.05
         )
