@@ -152,7 +152,9 @@ class TestAnalysis:
         layout = RowMajorLayout(512, 512)
         walk = column_walk(512, 512)
         analysis = analyze_walk(walk, layout, config)
-        stats = Memory3D(config).simulate(walk.trace(layout), "in_order")
+        stats = Memory3D(config).simulate(
+            walk.trace(layout), "in_order", engine="exact"
+        )
         assert analysis.estimated_activations == stats.row_activations
 
     def test_empty_analysis(self):

@@ -174,12 +174,14 @@ def compare_case(
         record["exact_summary"] = exact_summary
         record["vector_summary"] = vector_summary
 
-    # Event-count cross-check (healthy runs: the recorder itself forces
-    # the exact engine, so we compare its event tally to the vector
-    # engine's aggregate counters).
+    # Event-count cross-check (healthy runs: the recorder runs on the
+    # exact loop, so we compare its event tally to the vector engine's
+    # aggregate counters).
     if plan is None:
         recorder = EventTrace()
-        Memory3D(config, recorder=recorder).simulate(trace, discipline=discipline)
+        Memory3D(config, recorder=recorder).simulate(
+            trace, discipline=discipline, engine="exact"
+        )
         counts = recorder.counts()
         record["events_equal"] = (
             counts.get("ACTIVATE", 0) == vector.row_activations
