@@ -84,7 +84,8 @@ def _add_sweep_exec_flags(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         type=str,
         default=".sweep-cache",
-        help="on-disk result cache directory",
+        help="on-disk result cache directory (rerun on the same directory "
+             "to resume an interrupted sweep)",
     )
     parser.add_argument(
         "--no-cache",
@@ -466,8 +467,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             cache=_sweep_cache(args),
             policy=policy,
             chaos=chaos,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
             # The monitor needs telemetry so worker identities flow back,
             # but only the explicit flags trigger the trace/metrics files.
             telemetry=telemetry_requested or monitor is not None,
@@ -917,18 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_exec_flags(pw)
     _add_retry_flags(pw, retries_default=0)
     pw.add_argument(
-        "--checkpoint",
-        type=str,
-        default=None,
-        help="write periodic atomic progress snapshots to this file",
-    )
-    pw.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay completed points from --checkpoint before executing "
-             "the remainder",
-    )
-    pw.add_argument(
         "--chaos-fail",
         type=int,
         nargs="+",
@@ -1288,7 +1275,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point.
 
     Expected failures (any :class:`~repro.errors.ReproError`: bad specs,
-    invalid grids, corrupt checkpoints, ...) become a one-line stderr
+    invalid grids, unreadable files, ...) become a one-line stderr
     message and exit code 2; ``--debug`` re-raises them with the full
     traceback.  Genuine bugs always propagate.
     """

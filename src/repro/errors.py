@@ -44,9 +44,9 @@ class SweepExecutionError(ReproError):
     """A sweep point failed in a worker (crash, timeout, or bad result).
 
     The resilient executor raises this for *infrastructure* problems
-    (e.g. a checkpoint that does not match the grid being resumed);
-    per-point worker failures are quarantined into the sweep result's
-    ``failures`` section instead of aborting the grid.
+    (e.g. a submit to a closed worker pool); per-point worker failures
+    are quarantined into the sweep result's ``failures`` section instead
+    of aborting the grid.
     """
 
 

@@ -36,10 +36,11 @@ from repro.obs.logging import RingBufferSink
 from repro.obs.metrics import MetricsRegistry
 
 #: Schema tag stamped into every ``/status`` document (v2 added the
-#: ``latency`` summary section).
-STATUS_SCHEMA = "repro-status/v2"
+#: ``latency`` summary section; v3 dropped the checkpoint replay count,
+#: so a point a rerun replays counts as ``cached``).
+STATUS_SCHEMA = "repro-status/v3"
 
-#: Exact key set of a ``repro-status/v2`` document.  SCHEMA001 holds
+#: Exact key set of a ``repro-status/v3`` document.  SCHEMA001 holds
 #: every producer of the tag to this declaration (``repro tail`` and CI
 #: scrapers key off it); new fields need a new tag version.
 STATUS_KEYS = frozenset(
@@ -51,7 +52,6 @@ STATUS_KEYS = frozenset(
         "completed",
         "simulated",
         "cached",
-        "resumed",
         "failed",
         "failure_reasons",
         "retries",
@@ -63,32 +63,6 @@ STATUS_KEYS = frozenset(
         "eta_s",
         "workers",
         "latency",
-    }
-)
-
-#: The retired v1 status contract, kept declared so SCHEMA001 still
-#: recognizes recorded v1 documents (no shipped producer remains).
-STATUS_V1_SCHEMA = "repro-status/v1"
-STATUS_V1_KEYS = frozenset(
-    {
-        "schema",
-        "run_id",
-        "state",
-        "total",
-        "completed",
-        "simulated",
-        "cached",
-        "resumed",
-        "failed",
-        "failure_reasons",
-        "retries",
-        "jobs",
-        "progress",
-        "cache_hit_rate",
-        "elapsed_s",
-        "throughput_pts_per_s",
-        "eta_s",
-        "workers",
     }
 )
 
@@ -131,7 +105,7 @@ class SweepStatus(LiveStatus):
         self.run_id: str | None = None
         self.state = "idle"
         self.total = self.simulated = self.cached = self.failed = 0
-        self.retries = self.resumed = self.jobs = 0
+        self.retries = self.jobs = 0
         self._started_perf: float | None = None
         self._finished_perf: float | None = None
         #: worker_id -> {"points": n, "last_point": i, "last_seen_s": t}
@@ -139,8 +113,7 @@ class SweepStatus(LiveStatus):
 
     # ------------------------------------------------------------- transitions
     def start_run(
-        self, total: int, run_id: str | None = None,
-        jobs: int = 1, resumed: int = 0,
+        self, total: int, run_id: str | None = None, jobs: int = 1
     ) -> None:
         """Begin a run: reset counters, record identity and grid size."""
         with self.lock:
@@ -148,7 +121,6 @@ class SweepStatus(LiveStatus):
             self.state = "running"
             self.total = int(total)
             self.simulated = self.cached = self.failed = self.retries = 0
-            self.resumed = int(resumed)
             self.jobs = int(jobs)
             self._started_perf = time.perf_counter()
             self._finished_perf = None
@@ -232,24 +204,21 @@ class SweepStatus(LiveStatus):
             end = time.perf_counter()
         elapsed = 0.0 if start is None else max(0.0, end - start)
         throughput = completed / elapsed if elapsed > 0 else 0.0
-        remaining = max(0, self.total - completed - self.resumed)
+        remaining = max(0, self.total - completed)
         attempted = self.simulated + self.cached
         return {
             "schema": STATUS_SCHEMA,
             "run_id": self.run_id,
             "state": self.state,
             "total": self.total,
-            "completed": completed + self.resumed,
+            "completed": completed,
             "simulated": self.simulated,
             "cached": self.cached,
-            "resumed": self.resumed,
             "failed": self.failed,
             "failure_reasons": failure_reasons,
             "retries": self.retries,
             "jobs": self.jobs,
-            "progress": (
-                (completed + self.resumed) / self.total if self.total else 0.0
-            ),
+            "progress": completed / self.total if self.total else 0.0,
             "cache_hit_rate": self.cached / attempted if attempted else 0.0,
             "elapsed_s": elapsed,
             "throughput_pts_per_s": throughput,

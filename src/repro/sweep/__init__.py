@@ -18,11 +18,11 @@ an embarrassingly parallel exploration this package runs as one:
   JSON document (identical for any ``--jobs`` value and for warm-cache
   replays) plus markdown rendering;
 * :mod:`repro.sweep.resilience` -- :class:`RetryPolicy` (per-attempt
-  timeouts, bounded retries, deterministic backoff),
-  :class:`SweepCheckpoint` (periodic atomic progress snapshots replayed
-  by ``--resume``) and :class:`WorkerChaos` (executor fault injection
-  for tests/CI).  Worker failures are quarantined into the result's
-  ``failures`` section; one bad point never aborts the grid.
+  timeouts, bounded retries, deterministic backoff) and
+  :class:`WorkerChaos` (executor fault injection for tests/CI).  Worker
+  failures are quarantined into the result's ``failures`` section; one
+  bad point never aborts the grid, and a rerun on the same cache
+  computes only what is still missing.
 
 ``python -m repro sweep`` is the CLI entry point; the ``reproduce``
 report's N-sweep and h-sweep sections run on this engine.  See
@@ -38,10 +38,8 @@ from repro.sweep.grid import (
     load_grid_spec,
 )
 from repro.sweep.resilience import (
-    CHECKPOINT_SCHEMA,
     QuarantineReason,
     RetryPolicy,
-    SweepCheckpoint,
     WorkerChaos,
     backoff_jitter,
     failure_record,
@@ -50,7 +48,6 @@ from repro.sweep.resilience import (
 )
 from repro.sweep.results import RESULT_SCHEMA, SweepError, SweepResult
 from repro.sweep.runner import (
-    DEFAULT_CHECKPOINT_EVERY,
     DEFAULT_SWEEP_REQUESTS,
     point_result,
     resolve_jobs,
@@ -60,16 +57,13 @@ from repro.sweep.runner import (
 
 __all__ = [
     "CACHE_VERSION",
-    "CHECKPOINT_SCHEMA",
     "CacheStats",
     "ConfigVariant",
-    "DEFAULT_CHECKPOINT_EVERY",
     "DEFAULT_SWEEP_REQUESTS",
     "QuarantineReason",
     "RESULT_SCHEMA",
     "ResultCache",
     "RetryPolicy",
-    "SweepCheckpoint",
     "SweepError",
     "SweepGrid",
     "SweepPoint",

@@ -1,4 +1,4 @@
-"""Resilient sweep execution: timeouts, retries, quarantine, checkpoints.
+"""Resilient sweep execution: timeouts, retries, quarantine.
 
 A long design-space sweep dies in practice for boring reasons -- one
 pathological point OOMs a worker, a shared machine stalls, a speculative
@@ -18,10 +18,7 @@ point can never take the grid down:
   is killed and replaced, not waited on);
 * :func:`attempt_point` -- the one retry loop: numbered attempts under a
   policy, with backoff, cancellation and a quarantine record at the end,
-  shared by the sweep runner and the serving layer;
-* :class:`SweepCheckpoint` -- periodic atomic snapshots of completed
-  points keyed by a digest of the full sweep identity, replayed by
-  ``--resume`` so an interrupted sweep continues instead of restarting.
+  shared by the sweep runner and the serving layer.
 
 Failures are quarantined as plain JSON records (:func:`failure_record`)
 in the result document's ``failures`` section -- the healthy points'
@@ -33,24 +30,17 @@ from __future__ import annotations
 import collections
 import enum
 import hashlib
-import json
 import multiprocessing
-import os
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigError, SweepExecutionError
 from repro.obs.logging import get_logger
-from repro.serialization import stable_digest
 
 if TYPE_CHECKING:
     from repro.obs.tracectx import TraceContext
-
-#: Schema tag stamped into every checkpoint file.
-CHECKPOINT_SCHEMA = "repro-sweep-checkpoint/v1"
 
 
 # ----------------------------------------------------------- failure reasons
@@ -633,114 +623,3 @@ def attempt_point(
     )
     return settled("failed", failure=failure)
 
-
-# ------------------------------------------------------------------ checkpoint
-class SweepCheckpoint:
-    """Atomic on-disk snapshots of a sweep in progress.
-
-    The file carries a digest of the sweep's full identity (grid spec,
-    resolved configurations, request budget and cache version), so a
-    resume against a *different* sweep fails loudly instead of silently
-    splicing foreign results.
-    """
-
-    def __init__(self, path: str | Path, digest: str) -> None:
-        self.path = Path(path)
-        self.digest = digest
-
-    @staticmethod
-    def digest_for(
-        grid_dict: dict[str, Any],
-        config_dicts: dict[str, Any],
-        max_requests: int,
-        version: str,
-    ) -> str:
-        """Content digest of everything that determines the sweep's results."""
-        return stable_digest(
-            {
-                "grid": grid_dict,
-                "configs": config_dicts,
-                "max_requests": max_requests,
-                "version": version,
-            }
-        )
-
-    def load(self) -> tuple[dict[int, dict[str, Any]], list[dict[str, Any]]]:
-        """Replay a checkpoint: ``(completed results by index, failures)``.
-
-        Returns empty state when the file does not exist (a fresh run).
-        Raises :class:`~repro.errors.SweepExecutionError` when the file
-        is unreadable, corrupt, or belongs to a different sweep --
-        resuming must never silently mix results.
-        """
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return {}, []
-        except OSError as exc:
-            raise SweepExecutionError(
-                f"{self.path}: cannot read checkpoint ({exc})"
-            ) from exc
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SweepExecutionError(
-                f"{self.path}: corrupt checkpoint ({exc})"
-            ) from exc
-        if (
-            not isinstance(document, dict)
-            or document.get("schema") != CHECKPOINT_SCHEMA
-        ):
-            raise SweepExecutionError(
-                f"{self.path}: not a sweep checkpoint "
-                f"(schema {document.get('schema')!r} != {CHECKPOINT_SCHEMA!r})"
-            )
-        if document.get("digest") != self.digest:
-            raise SweepExecutionError(
-                f"{self.path}: checkpoint belongs to a different sweep "
-                f"(digest mismatch; grid, config or request budget changed)"
-            )
-        completed_raw = document.get("completed", {})
-        if not isinstance(completed_raw, dict):
-            raise SweepExecutionError(
-                f"{self.path}: corrupt checkpoint ('completed' not a mapping)"
-            )
-        completed: dict[int, dict[str, Any]] = {}
-        for key, value in completed_raw.items():
-            if not isinstance(value, dict):
-                raise SweepExecutionError(
-                    f"{self.path}: corrupt checkpoint (entry {key!r} not a dict)"
-                )
-            completed[int(key)] = value
-        failures = document.get("failures", [])
-        if not isinstance(failures, list):
-            raise SweepExecutionError(
-                f"{self.path}: corrupt checkpoint ('failures' not a list)"
-            )
-        return completed, failures
-
-    def save(
-        self,
-        completed: dict[int, dict[str, Any]],
-        failures: list[dict[str, Any]],
-    ) -> None:
-        """Atomically write the current progress (temp file + rename)."""
-        document = {
-            "schema": CHECKPOINT_SCHEMA,
-            "digest": self.digest,
-            "completed": {str(k): v for k, v in sorted(completed.items())},
-            "failures": failures,
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        tmp.write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, self.path)
-        get_logger("repro.sweep.resilience").debug(
-            "checkpoint saved",
-            path=str(self.path),
-            completed=len(completed),
-            failures=len(failures),
-        )

@@ -147,9 +147,6 @@ class SweepResult:
             parts.append(f"{shared} of them sharing a phase")
         if cached is not None:
             parts.append(f"{cached} from cache")
-        resumed = self.meta.get("resumed")
-        if resumed:
-            parts.append(f"{resumed} from checkpoint")
         if self.failures:
             parts.append(f"{len(self.failures)} FAILED")
         jobs = self.meta.get("jobs")

@@ -20,9 +20,9 @@ structured record in the result's ``failures`` section instead of
 aborting the grid.  A :class:`~repro.sweep.resilience.RetryPolicy`
 runs every point's attempts on the warm, killable workers of a shared
 pool, even with ``jobs=1``, with timeouts and deterministic exponential
-backoff; a checkpoint path makes the runner snapshot completed points
-periodically so ``resume=True`` replays them after an interruption.
-See :mod:`repro.sweep.resilience`
+backoff.  With a cache, every settled point is stored as it completes,
+so rerunning an interrupted sweep on the same cache replays what
+finished and computes only the rest.  See :mod:`repro.sweep.resilience`
 and ``docs/sweep.md``.
 """
 
@@ -34,7 +34,6 @@ import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from collections.abc import Callable, Hashable, Iterator
 from typing import Any
 
@@ -47,13 +46,17 @@ from repro.obs.monitor import SweepStatus
 from repro.obs.spans import span_or_null
 from repro.obs.telemetry import RunTelemetry, WorkerTelemetry, sweep_context
 from repro.obs.tracectx import TraceContext
-from repro.serialization import system_from_dict, system_to_dict, system_with_overrides
+from repro.serialization import (
+    stable_digest,
+    system_from_dict,
+    system_to_dict,
+    system_with_overrides,
+)
 from repro.sweep.cache import CACHE_VERSION, ResultCache
 from repro.sweep.grid import SweepGrid, SweepPoint
 from repro.sweep.resilience import (
     WORKER_REPLACEMENTS,
     RetryPolicy,
-    SweepCheckpoint,
     WorkerChaos,
     apply_chaos,
     attempt_point,
@@ -65,9 +68,6 @@ from repro.sweep.results import SweepResult
 
 #: Default cap on exactly-simulated requests per point.
 DEFAULT_SWEEP_REQUESTS = 65_536
-
-#: Completed points between checkpoint snapshots.
-DEFAULT_CHECKPOINT_EVERY = 8
 
 #: Bucket bounds for the per-run utilization histogram (% of peak).
 _UTILIZATION_BOUNDS = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0)
@@ -363,6 +363,24 @@ def point_payload(
     }
 
 
+def _run_digest(
+    grid: SweepGrid, config_dicts: dict[str, Any], max_requests: int
+) -> str:
+    """Content digest of everything that determines a sweep's results.
+
+    Its prefix is the run id that stamps telemetry, trace ids and
+    ``/status``.
+    """
+    return stable_digest(
+        {
+            "grid": grid.as_dict(),
+            "configs": config_dicts,
+            "max_requests": max_requests,
+            "version": CACHE_VERSION,
+        }
+    )
+
+
 def run_sweep(
     grid: SweepGrid,
     config: SystemConfig | None = None,
@@ -371,9 +389,6 @@ def run_sweep(
     cache: ResultCache | None = None,
     policy: RetryPolicy | None = None,
     chaos: WorkerChaos | None = None,
-    checkpoint: str | Path | None = None,
-    resume: bool = False,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     telemetry: bool = False,
     status: SweepStatus | None = None,
     engine: str = "vector",
@@ -388,7 +403,9 @@ def run_sweep(
         jobs: worker processes; ``1`` runs inline (deterministic serial
             fallback), ``<= 0`` uses one worker per CPU.
         cache: optional on-disk result cache; hits skip simulation,
-            misses are stored after simulation.
+            misses are stored as each settles.  Rerunning an
+            interrupted sweep on the same cache is how it resumes: the
+            document is byte-identical to an uninterrupted run.
         policy: optional :class:`~repro.sweep.resilience.RetryPolicy`;
             when given (or when ``chaos`` is), every attempt runs on a
             warm, killable worker of the shared pool, even with
@@ -396,13 +413,6 @@ def run_sweep(
             retries.
         chaos: optional executor fault injection
             (:class:`~repro.sweep.resilience.WorkerChaos`); test/CI only.
-        checkpoint: optional path for periodic progress snapshots
-            (written atomically every ``checkpoint_every`` completions
-            and at the end).
-        resume: replay completed points from ``checkpoint`` before
-            executing the remainder.  The final document is
-            byte-identical to an uninterrupted run (enforced by tests).
-        checkpoint_every: completions between snapshots.
         telemetry: record cross-process run telemetry -- every worker
             task carries its attempt's trace context
             (:func:`~repro.obs.telemetry.sweep_context`), workers ship
@@ -425,7 +435,7 @@ def run_sweep(
 
     A point that keeps failing is quarantined into the result's
     ``failures`` list instead of aborting the grid; infrastructure
-    errors (invalid grid, unusable checkpoint) still raise.
+    errors (invalid grid, unknown engine) still raise.
     """
     config = config or SystemConfig()
     if engine not in ("exact", "vector"):
@@ -434,12 +444,6 @@ def run_sweep(
         )
     if max_requests <= 0:
         raise ConfigError(f"max_requests must be positive, got {max_requests}")
-    if checkpoint_every <= 0:
-        raise ConfigError(
-            f"checkpoint_every must be positive, got {checkpoint_every}"
-        )
-    if resume and checkpoint is None:
-        raise ConfigError("resume=True requires a checkpoint path")
     validate_grid(grid, config)
     jobs = resolve_jobs(jobs)
     # Wall-clock is run *metadata* (meta["wall_s"]), never part of the
@@ -454,9 +458,7 @@ def run_sweep(
     run_tel: RunTelemetry | None = None
     run_id: str | None = None
     if telemetry or status is not None:
-        run_id = SweepCheckpoint.digest_for(
-            grid.as_dict(), config_dicts, max_requests, CACHE_VERSION
-        )[:12]
+        run_id = _run_digest(grid, config_dicts, max_requests)[:12]
     if telemetry:
         assert run_id is not None
         run_tel = RunTelemetry(run_id)
@@ -465,28 +467,9 @@ def run_sweep(
     results: list[dict[str, Any] | None] = [None] * len(points)
     registry = MetricsRegistry()
 
-    ckpt: SweepCheckpoint | None = None
-    completed: dict[int, dict[str, Any]] = {}
-    resumed = 0
-    if checkpoint is not None:
-        ckpt = SweepCheckpoint(
-            checkpoint,
-            SweepCheckpoint.digest_for(
-                grid.as_dict(), config_dicts, max_requests, CACHE_VERSION
-            ),
-        )
-        if resume:
-            completed, _ = ckpt.load()
-            for index, result in completed.items():
-                if 0 <= index < len(points):
-                    results[index] = result
-            resumed = sum(1 for entry in results if entry is not None)
-
     if status is not None:
-        status.start_run(
-            len(points), run_id=run_id, jobs=jobs, resumed=resumed
-        )
-    log.info("sweep started", points=len(points), jobs=jobs, resumed=resumed)
+        status.start_run(len(points), run_id=run_id, jobs=jobs)
+    log.info("sweep started", points=len(points), jobs=jobs)
 
     tasks: list[dict[str, Any]] = []
     # index -> (cache key, payload) of each point to cache once computed.
@@ -498,8 +481,6 @@ def run_sweep(
     sharers: dict[int, list[int]] = {}
     cached = 0
     for index, point in enumerate(points):
-        if results[index] is not None:
-            continue
         payload = point_payload(point, config_dicts[point.config_label], max_requests)
         if cache is not None:
             key = cache.key_for(payload)
@@ -507,7 +488,6 @@ def run_sweep(
             if hit is not None:
                 hit = _shared_strings(hit)
                 results[index] = hit
-                completed[index] = hit
                 cached += 1
                 if status is not None:
                     status.mark_cached(index)
@@ -558,7 +538,6 @@ def run_sweep(
             stream = _iter_outcomes(tasks, jobs, attempt_body, isolated=True)
         else:
             stream = _iter_outcomes(tasks, jobs, _execute_entry, isolated=False)
-        since_snapshot = 0
         with span_or_null(
             run_tel.timeline if run_tel is not None else None,
             "execute",
@@ -606,7 +585,6 @@ def run_sweep(
                             )
                         )
                         results[member] = result
-                        completed[member] = result
                         simulated += 1
                         if status is not None and member != index:
                             status.mark_ok(member)
@@ -626,17 +604,8 @@ def run_sweep(
                             reason=failure["reason"],
                             attempts=failure["attempts"],
                         )
-                    since_snapshot += 1
-                if ckpt is not None and since_snapshot >= checkpoint_every:
-                    ckpt.save(
-                        completed,
-                        sorted(failures, key=lambda f: f["index"]),
-                    )
-                    since_snapshot = 0
 
     failures.sort(key=lambda f: f["index"])
-    if ckpt is not None:
-        ckpt.save(completed, failures)
     for index in sorted(outcomes_by_index):
         registry.merge_snapshot(outcomes_by_index[index]["metrics"])
 
@@ -670,7 +639,6 @@ def run_sweep(
         "simulated": simulated,
         "shared": shared,
         "cached": cached,
-        "resumed": resumed,
         "failed": len(failures),
         "retries": retries_total,
         "wall_s": time.perf_counter() - started,  # repro: ignore[DET001]

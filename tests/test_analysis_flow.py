@@ -611,7 +611,7 @@ class TestSCHEMA001:
         declared = real_tree_model.declared_schema_keys()
         assert {
             "repro-serve-response/v1",
-            "repro-status/v1",
+            "repro-status/v3",
             "repro-log/v1",
             "repro-lint/v1",
         } <= set(declared)

@@ -360,16 +360,18 @@ class TestResilientSweepCli:
         assert "quarantined" in out
         assert "SweepExecutionError" in out
 
-    def test_checkpoint_resume_flags(self, capsys, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt.json"
-        argv = ["sweep", "--sizes", "128", "--no-cache",
-                "--max-requests", "4096", "--checkpoint", str(ckpt)]
+    def test_rerun_on_one_cache_dir_resumes(self, capsys, tmp_path):
+        argv = ["sweep", "--sizes", "128", "--layouts", "row-major", "ddl",
+                "--heights", "2", "4", "--cache-dir", str(tmp_path),
+                "--max-requests", "4096"]
+        # The first run loses point 0; the rerun computes only that one.
+        assert main(argv + ["--chaos-fail", "0"]) == 0
+        assert "1 FAILED" in capsys.readouterr().out
         assert main(argv) == 0
-        capsys.readouterr()
-        assert ckpt.is_file()
-        assert main(argv + ["--resume"]) == 0
         out = capsys.readouterr().out
-        assert "2 from checkpoint" in out
+        assert "1 simulated" in out
+        assert "2 from cache" in out
+        assert "FAILED" not in out
 
 
 class TestGoldenOutputs:

@@ -58,8 +58,10 @@ class TestSweepStatus:
     def test_lifecycle_counts_and_progress(self):
         status = SweepStatus()
         assert status.snapshot()["state"] == "idle"
-        status.start_run(10, run_id="abc123", jobs=2, resumed=2)
+        status.start_run(10, run_id="abc123", jobs=2)
         status.mark_cached(0)
+        status.mark_cached(4)
+        status.mark_cached(5)
         status.mark_ok(1, worker_id=41, metrics=None)
         status.mark_ok(2, worker_id=42, metrics=None)
         status.mark_retry(3, attempts=2)
@@ -70,13 +72,13 @@ class TestSweepStatus:
         assert snap["state"] == "running"
         assert snap["total"] == 10
         assert snap["simulated"] == 2
-        assert snap["cached"] == 1
+        assert snap["cached"] == 3
         assert snap["failed"] == 1
         assert snap["retries"] == 2
-        assert snap["resumed"] == 2
-        assert snap["completed"] == 6  # 2 sim + 1 cached + 1 failed + 2 resumed
+        assert "resumed" not in snap
+        assert snap["completed"] == 6  # 2 sim + 3 cached + 1 failed
         assert snap["progress"] == pytest.approx(0.6)
-        assert snap["cache_hit_rate"] == pytest.approx(1 / 3)
+        assert snap["cache_hit_rate"] == pytest.approx(3 / 5)
         assert snap["jobs"] == 2
         assert set(snap["workers"]) == {"41", "42"}
         assert snap["workers"]["41"]["points"] == 1
@@ -164,10 +166,11 @@ class TestSweepStatus:
     def test_every_scrape_is_one_instant(self):
         """Progress gauges and the registry come from one lock hold: a
         ``mark_ok`` never lands between them, so the completed count
-        always equals resumed + cached + failed + timed points."""
+        always equals cached + failed + timed points."""
         status = SweepStatus()
-        status.start_run(10_000, run_id="instant", resumed=3)
-        status.mark_cached(0)
+        status.start_run(10_000, run_id="instant")
+        for index in range(4):
+            status.mark_cached(index)
         status.mark_failed(1, reason="timeout")
         stop = threading.Event()
 
@@ -189,7 +192,7 @@ class TestSweepStatus:
                 snap = status.metrics_snapshot()
                 timed = snap.get("sweep.point_duration_s", {"count": 0})
                 assert snap["sweep.points_completed"]["value"] == (
-                    3 + 1 + 1 + timed["count"]
+                    4 + 1 + timed["count"]
                 )
         finally:
             stop.set()

@@ -9,12 +9,11 @@ own labels.  Two checks hold it to that:
   64-1024, points with equal keys give ``point_result`` dicts that
   differ only in ``layout`` and ``config``;
 * sharing is invisible: on a grid with all three kinds of repeat, every
-  execution path (serial, process pool, retry pool, warm cache, resumed
-  checkpoint) returns exactly what ``point_result`` gives run once per
-  point.
+  execution path (serial, process pool, retry pool, warm cache, rerun
+  after a failure) returns exactly what ``point_result`` gives run once
+  per point.
 """
 
-import json
 from collections import defaultdict
 
 import numpy as np
@@ -198,44 +197,29 @@ class TestSharedSweep:
         assert result.meta["cached"] == 1
         assert result.meta["shared"] == len(SHARERS) - 1
 
-    def test_resumed_checkpoint_matches_per_point_oracle(self, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt.json"
+    def test_rerun_on_cache_matches_per_point_oracle(self, tmp_path):
+        cache_dir = tmp_path / "cache"
         # Point 0 (row-major N=256) fails; its sharer tiled-1x32 (point
         # 4) is quarantined with it, under its own index and point.
         partial = run_sweep(
             GRID, max_requests=SAMPLE, jobs=1,
+            cache=ResultCache(cache_dir),
             policy=RetryPolicy(retries=0),
             chaos=WorkerChaos(fail_points=(0,)),
-            checkpoint=ckpt, checkpoint_every=1,
         )
         representative, sharer = partial.failures
         assert (representative["index"], sharer["index"]) == (0, 4)
         assert sharer["point"] == GRID.points()[4].as_dict()
         assert dict(sharer, index=0, point=representative["point"]) == representative
-        # Resumed, the two missing points share one run again.
-        resumed = run_sweep(
-            GRID, max_requests=SAMPLE, jobs=1, checkpoint=ckpt, resume=True
+        # Rerun on the same cache: the two missing points share one run
+        # again.
+        rerun = run_sweep(
+            GRID, max_requests=SAMPLE, jobs=1, cache=ResultCache(cache_dir)
         )
-        assert resumed.meta["resumed"] == 10
-        assert resumed.meta["simulated"] == 2
-        assert resumed.meta["shared"] == 1
-        assert resumed.results == _oracle(GRID)
-
-    def test_checkpoint_without_a_representative_resumes(self, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt.json"
-        run_sweep(GRID, max_requests=SAMPLE, jobs=1, checkpoint=ckpt)
-        # Drop a representative (ddl h=32 N=256, point 3) whose sharer
-        # stays, and a sharer (point 11) whose representative stays.
-        document = json.loads(ckpt.read_text(encoding="utf-8"))
-        del document["completed"]["3"], document["completed"]["11"]
-        ckpt.write_text(json.dumps(document), encoding="utf-8")
-        resumed = run_sweep(
-            GRID, max_requests=SAMPLE, jobs=1, checkpoint=ckpt, resume=True
-        )
-        assert resumed.meta["simulated"] == 2
-        assert resumed.meta["shared"] == 0
-        assert resumed.results == _oracle(GRID)
-
+        assert rerun.meta["cached"] == 10
+        assert rerun.meta["simulated"] == 2
+        assert rerun.meta["shared"] == 1
+        assert rerun.results == _oracle(GRID)
 
     def test_unresolved_layout_runs_alone_and_is_quarantined(self):
         grid = SweepGrid(

@@ -7,17 +7,17 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.errors import ConfigError, SweepExecutionError
+from repro.core.config import SystemConfig
+from repro.errors import ConfigError
 from repro.obs.telemetry import sweep_context
 from repro.obs.tracectx import TraceContext
-from repro.serialization import stable_digest
+from repro.serialization import stable_digest, system_to_dict
 from repro.sweep import (
     CACHE_VERSION,
     ConfigVariant,
     QuarantineReason,
     ResultCache,
     RetryPolicy,
-    SweepCheckpoint,
     SweepError,
     SweepGrid,
     SweepPoint,
@@ -525,7 +525,7 @@ class TestResilientExecution:
                      heights=(2, 4))
 
     def test_crash_hang_and_healthy_points(self):
-        policy = RetryPolicy(timeout_s=5.0, retries=1, backoff_s=0.01,
+        policy = RetryPolicy(timeout_s=2.0, retries=1, backoff_s=0.01,
                              max_backoff_s=0.02)
         chaos = WorkerChaos(fail_points=(0,), hang_points=(2,), hang_s=30.0)
         result = run_sweep(self.GRID, max_requests=SAMPLE, jobs=2,
@@ -563,70 +563,54 @@ class TestResilientExecution:
         assert guarded.to_json() == clean.to_json()
 
 
-class TestCheckpointResume:
+class TestCacheResume:
+    """A rerun on the same cache is how an interrupted sweep resumes."""
+
     GRID = SweepGrid(sizes=(128,), layouts=("row-major", "ddl"),
                      heights=(2, 4))
 
-    def test_resume_is_byte_identical(self, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt.json"
+    def test_rerun_after_failure_is_byte_identical(self, tmp_path):
         clean = run_sweep(self.GRID, max_requests=SAMPLE, jobs=1)
-        # First run: point 1 fails every attempt, progress checkpointed.
+        # First run: point 1 fails every attempt; the others are cached
+        # as they settle.
         partial = run_sweep(
             self.GRID, max_requests=SAMPLE, jobs=1,
+            cache=ResultCache(tmp_path),
             policy=RetryPolicy(retries=0),
             chaos=WorkerChaos(fail_points=(1,)),
-            checkpoint=ckpt, checkpoint_every=1,
         )
-        assert len(partial.failures) == 1
-        assert ckpt.is_file()
-        # Resume with the fault gone: only the missing point simulates,
-        # and the final document matches an uninterrupted run exactly.
-        resumed = run_sweep(self.GRID, max_requests=SAMPLE, jobs=1,
-                            checkpoint=ckpt, resume=True)
-        assert resumed.meta["resumed"] == 2
-        assert resumed.meta["simulated"] == 1
-        assert resumed.to_json() == clean.to_json()
+        assert [f["index"] for f in partial.failures] == [1]
+        # Rerun with the fault gone: only the missing point simulates,
+        # and the document matches an uninterrupted run exactly.
+        rerun = run_sweep(self.GRID, max_requests=SAMPLE, jobs=1,
+                          cache=ResultCache(tmp_path))
+        assert rerun.meta["cached"] == 2
+        assert rerun.meta["simulated"] == 1
+        assert rerun.to_json() == clean.to_json()
 
-    def test_checkpoint_digest_guards_identity(self, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt.json"
-        run_sweep(self.GRID, max_requests=SAMPLE, checkpoint=ckpt)
-        other = SweepGrid(sizes=(256,), layouts=("row-major",))
-        with pytest.raises(SweepExecutionError, match="different sweep"):
-            run_sweep(other, max_requests=SAMPLE, checkpoint=ckpt,
-                      resume=True)
-        # A different request budget is a different sweep too.
-        with pytest.raises(SweepExecutionError, match="different sweep"):
-            run_sweep(self.GRID, max_requests=2 * SAMPLE, checkpoint=ckpt,
-                      resume=True)
+    def test_rerun_under_another_budget_replays_nothing(self, tmp_path):
+        run_sweep(self.GRID, max_requests=SAMPLE, cache=ResultCache(tmp_path))
+        # A different request budget is a different sweep: no entry of
+        # the first run can be spliced into it.
+        other = run_sweep(self.GRID, max_requests=2 * SAMPLE,
+                          cache=ResultCache(tmp_path))
+        assert other.meta["cached"] == 0
+        assert other.meta["simulated"] == 3
 
-    def test_corrupt_checkpoint_raises(self, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt.json"
-        ckpt.write_text("{torn", encoding="utf-8")
-        with pytest.raises(SweepExecutionError, match="corrupt"):
-            run_sweep(self.GRID, max_requests=SAMPLE, checkpoint=ckpt,
-                      resume=True)
+    def test_run_id_digest_stable(self):
+        def run_id(max_requests):
+            result = run_sweep(self.GRID, max_requests=max_requests,
+                               telemetry=True)
+            return result.meta["run_id"]
 
-    def test_resume_requires_checkpoint_path(self):
-        with pytest.raises(ConfigError, match="checkpoint"):
-            run_sweep(self.GRID, max_requests=SAMPLE, resume=True)
-
-    def test_missing_checkpoint_is_a_fresh_run(self, tmp_path):
-        ckpt = tmp_path / "absent.json"
-        result = run_sweep(self.GRID, max_requests=SAMPLE, checkpoint=ckpt,
-                           resume=True)
-        assert result.meta["resumed"] == 0
-        assert len(result.results) == 3
-
-    def test_checkpoint_digest_stable(self):
-        digest = SweepCheckpoint.digest_for(
-            self.GRID.as_dict(), {"default": {}}, SAMPLE, CACHE_VERSION
-        )
-        assert digest == SweepCheckpoint.digest_for(
-            self.GRID.as_dict(), {"default": {}}, SAMPLE, CACHE_VERSION
-        )
-        assert digest != SweepCheckpoint.digest_for(
-            self.GRID.as_dict(), {"default": {}}, SAMPLE + 1, CACHE_VERSION
-        )
+        digest = stable_digest({
+            "grid": self.GRID.as_dict(),
+            "configs": {"default": system_to_dict(SystemConfig())},
+            "max_requests": SAMPLE,
+            "version": CACHE_VERSION,
+        })
+        assert run_id(SAMPLE) == digest[:12] == run_id(SAMPLE)
+        assert run_id(SAMPLE + 1) != digest[:12]
 
 
 class TestCacheSelfHealing:
@@ -894,8 +878,6 @@ class TestWarmWorkerReuse:
     def test_concurrent_checkouts_never_share_a_worker(self):
         import sys
 
-        from repro.core.config import SystemConfig
-        from repro.serialization import system_to_dict
         from repro.sweep.resilience import WorkerPool
         from repro.sweep.runner import point_payload
 
